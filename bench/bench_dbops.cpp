@@ -293,16 +293,15 @@ struct EncodingPoint {
 };
 
 /// Ingests `entries` (row, qualifier) cells into one flushed table with
-/// the given RFL3 knobs and scans it twice through the block cache.
+/// the given block compressor and scans it twice through the block cache.
 EncodingPoint run_encoding_point(
     const std::vector<std::pair<std::string, std::string>>& entries,
-    bool prefix, nosql::RFileCompressor comp) {
+    nosql::RFileCompressor comp) {
   nosql::Instance db(1);
   nosql::TableConfig cfg;
   cfg.flush_entries = entries.size() + 1;  // one RFile: clean density
   cfg.rfile.cache_bytes = 256 * 1024 * 1024;  // hold everything resident
   cfg.rfile.index_stride = 128;
-  cfg.rfile.prefix_encode = prefix;
   cfg.rfile.compressor = comp;
   db.create_table("t", cfg);
   {
@@ -350,11 +349,11 @@ EncodingPoint run_encoding_point(
   return p;
 }
 
-/// Prefix-encoding sweep over two corpus shapes (R-MAT adjacency and
-/// the tweet term table) x {plain, prefix, prefix+lz}. The headline
-/// number is cells-per-cached-byte: how many more cells the same block
-/// cache budget holds once blocks are stored encoded. Returns the JSON
-/// object for the "encoding_sweep" key.
+/// RFL3 encoding sweep over two corpus shapes (R-MAT adjacency and the
+/// tweet term table) x {prefix, prefix+lz}. The headline number is
+/// cells-per-cached-byte: how many more cells the same block cache
+/// budget holds once prefix-encoded blocks are also LZ-compressed.
+/// Returns the JSON object for the "encoding_sweep" key.
 std::string run_encoding_sweep(bool smoke) {
   // R-MAT adjacency: row = source vertex, qualifier = destination.
   gen::RmatParams rp;
@@ -378,13 +377,11 @@ std::string run_encoding_sweep(bool smoke) {
 
   struct EncodingMode {
     const char* name;
-    bool prefix;
     nosql::RFileCompressor comp;
   };
   const EncodingMode modes[] = {
-      {"plain", false, nosql::RFileCompressor::kNone},
-      {"prefix", true, nosql::RFileCompressor::kNone},
-      {"prefix_lz", true, nosql::RFileCompressor::kLz},
+      {"prefix", nosql::RFileCompressor::kNone},
+      {"prefix_lz", nosql::RFileCompressor::kLz},
   };
   const std::pair<const char*,
                   const std::vector<std::pair<std::string, std::string>>*>
@@ -395,19 +392,15 @@ std::string run_encoding_sweep(bool smoke) {
                             "warm_scan", "hit_rate"});
   std::string json = "{\"results\": [";
   bool first = true;
-  double rmat_prefix_gain = 0.0, tweets_prefix_gain = 0.0;
+  double rmat_lz_gain = 0.0, tweets_lz_gain = 0.0;
   for (const auto& [tname, entries] : tables) {
-    double plain_density = 0.0;
+    double prefix_density = 0.0;
     for (const auto& mode : modes) {
-      const auto p = run_encoding_point(*entries, mode.prefix, mode.comp);
-      if (!mode.prefix) plain_density = p.density;
-      const double gain = plain_density > 0 ? p.density / plain_density : 0.0;
-      if (std::string(tname) == "rmat" && std::string(mode.name) == "prefix") {
-        rmat_prefix_gain = gain;
-      }
-      if (std::string(tname) == "tweets" &&
-          std::string(mode.name) == "prefix") {
-        tweets_prefix_gain = gain;
+      const auto p = run_encoding_point(*entries, mode.comp);
+      if (mode.comp == nosql::RFileCompressor::kNone) prefix_density = p.density;
+      const double gain = prefix_density > 0 ? p.density / prefix_density : 0.0;
+      if (mode.comp == nosql::RFileCompressor::kLz) {
+        (std::string(tname) == "rmat" ? rmat_lz_gain : tweets_lz_gain) = gain;
       }
       table.add_row({tname, mode.name, std::to_string(p.file_entries),
                      util::human_bytes(static_cast<double>(p.file_block_bytes)),
@@ -424,20 +417,20 @@ std::string run_encoding_sweep(bool smoke) {
               ", \"file_block_bytes\": " + std::to_string(p.file_block_bytes) +
               ", \"cells_per_cached_byte\": " +
               util::TablePrinter::fmt(p.density, 6) +
-              ", \"density_vs_plain\": " + util::TablePrinter::fmt(gain, 3) +
+              ", \"density_vs_prefix\": " + util::TablePrinter::fmt(gain, 3) +
               ", \"cold_cells_per_s\": " + std::to_string(p.cold_rate) +
               ", \"warm_cells_per_s\": " + std::to_string(p.warm_rate) +
               ", \"cache_hit_rate\": " + util::TablePrinter::fmt(p.hit_rate, 4) +
               "}";
     }
   }
-  json += "], \"rmat_density_prefix_vs_plain\": " +
-          util::TablePrinter::fmt(rmat_prefix_gain, 3) +
-          ", \"tweets_density_prefix_vs_plain\": " +
-          util::TablePrinter::fmt(tweets_prefix_gain, 3) + "}";
+  json += "], \"rmat_density_lz_vs_prefix\": " +
+          util::TablePrinter::fmt(rmat_lz_gain, 3) +
+          ", \"tweets_density_lz_vs_prefix\": " +
+          util::TablePrinter::fmt(tweets_lz_gain, 3) + "}";
   table.print(
-      "RFL3 prefix encoding: cells per cached byte and scan rates "
-      "(density_x = vs plain)");
+      "RFL3 encoding: cells per cached byte and scan rates "
+      "(density_x = vs prefix alone)");
   return json;
 }
 
@@ -507,7 +500,7 @@ void run_smoke_tablemult() {
   std::remove(wal_path.c_str());
 }
 
-// ---- leveled vs flat compaction sweep (BENCH_compaction.json) -----------
+// ---- leveled compaction sweep (BENCH_compaction.json) -------------------
 
 /// One sustained-ingest run: overwrite-heavy cells (about four versions
 /// per column) pushed through threshold flushes and inline compactions,
@@ -525,7 +518,7 @@ struct CompactionPoint {
   std::size_t compactions = 0;
 };
 
-CompactionPoint run_compaction_point(bool leveled, std::size_t cells,
+CompactionPoint run_compaction_point(std::size_t cells,
                                      std::size_t level_base_bytes) {
   auto& reg = obs::MetricsRegistry::global();
   const auto written_cells = [&reg] {
@@ -537,7 +530,6 @@ CompactionPoint run_compaction_point(bool leveled, std::size_t cells,
   nosql::Instance db(1);
   nosql::TableConfig cfg;
   cfg.flush_entries = std::max<std::size_t>(64, cells / 80);  // ~80 flushes
-  cfg.compaction.leveled = leveled;
   cfg.compaction.level0_trigger = 4;
   cfg.compaction.level_base_bytes = level_base_bytes;
   cfg.compaction.level_multiplier = 8;
@@ -577,7 +569,7 @@ CompactionPoint run_compaction_point(bool leveled, std::size_t cells,
     }
   }
   // A point read consults every L0 file but at most one file per sorted
-  // level (flat mode: everything lives in L0, so this is file_count).
+  // level.
   p.worst_point_files = p.l0_files + p.sorted_levels;
   p.space_amp = static_cast<double>(file_cells) / static_cast<double>(live);
 
@@ -593,37 +585,23 @@ CompactionPoint run_compaction_point(bool leveled, std::size_t cells,
   return p;
 }
 
-/// Leveled vs flat under sustained overwrite ingest: cells x L1 byte
-/// budgets. Writes BENCH_compaction.json; the headline number is the
-/// warm-scan throughput ratio at the largest cell count.
+/// Leveled compaction under sustained overwrite ingest: cells x L1 byte
+/// budgets. Writes BENCH_compaction.json.
 void run_compaction_sweep(bool smoke) {
   const std::vector<std::size_t> cell_counts =
       smoke ? std::vector<std::size_t>{6000}
             : std::vector<std::size_t>{40000, 120000};
   const std::vector<std::size_t> budgets{32 * 1024, 128 * 1024};
-  util::TablePrinter table({"layout", "cells", "l1_budget", "ingest",
-                            "warm_scan", "write_amp", "space_amp", "files",
-                            "l0", "levels", "worst_point"});
+  util::TablePrinter table({"cells", "l1_budget", "ingest", "warm_scan",
+                            "write_amp", "space_amp", "files", "l0", "levels",
+                            "worst_point"});
   std::string json = "{\"bench\": \"compaction_sweep\", \"results\": [";
   bool first = true;
-  double flat_warm = 0.0, leveled_warm = 0.0;
   for (const std::size_t cells : cell_counts) {
-    struct Run {
-      const char* layout;
-      bool leveled;
-      std::size_t budget;
-    };
-    std::vector<Run> runs{{"flat", false, budgets.front()}};
-    for (const std::size_t b : budgets) runs.push_back({"leveled", true, b});
-    for (const Run& r : runs) {
-      const auto p = run_compaction_point(r.leveled, cells, r.budget);
-      if (cells == cell_counts.back()) {
-        if (!r.leveled) flat_warm = p.warm_scan_rate;
-        if (r.leveled) leveled_warm = std::max(leveled_warm, p.warm_scan_rate);
-      }
-      table.add_row({r.layout, std::to_string(cells),
-                     r.leveled ? util::human_bytes(static_cast<double>(r.budget))
-                               : "-",
+    for (const std::size_t budget : budgets) {
+      const auto p = run_compaction_point(cells, budget);
+      table.add_row({std::to_string(cells),
+                     util::human_bytes(static_cast<double>(budget)),
                      util::human_rate(p.ingest_rate),
                      util::human_rate(p.warm_scan_rate),
                      util::TablePrinter::fmt(p.write_amp, 2),
@@ -633,10 +611,8 @@ void run_compaction_sweep(bool smoke) {
                      std::to_string(p.worst_point_files)});
       if (!first) json += ", ";
       first = false;
-      json += std::string("{\"layout\": \"") + r.layout +
-              "\", \"cells\": " + std::to_string(cells) +
-              ", \"level_base_bytes\": " +
-              std::to_string(r.leveled ? r.budget : 0) +
+      json += "{\"cells\": " + std::to_string(cells) +
+              ", \"level_base_bytes\": " + std::to_string(budget) +
               ", \"ingest_cells_per_s\": " + std::to_string(p.ingest_rate) +
               ", \"warm_scan_cells_per_s\": " +
               std::to_string(p.warm_scan_rate) +
@@ -651,13 +627,10 @@ void run_compaction_sweep(bool smoke) {
               ", \"compactions\": " + std::to_string(p.compactions) + "}";
     }
   }
-  const double ratio = flat_warm > 0 ? leveled_warm / flat_warm : 0.0;
-  json += "], \"leveled_vs_flat_warm_scan\": " +
-          util::TablePrinter::fmt(ratio, 2) + "}\n";
+  json += "]}\n";
   table.print(
-      "Leveled vs flat compaction under sustained overwrite ingest "
+      "Leveled compaction under sustained overwrite ingest "
       "(worst_point = L0 files + sorted levels)");
-  std::printf("leveled vs flat warm scan: %.2fx\n", ratio);
   std::ofstream("BENCH_compaction.json") << json;
   std::printf("wrote BENCH_compaction.json\n\n");
 }
@@ -896,7 +869,7 @@ int main(int argc, char** argv) {
       write_scan_json(run_scan_block_sweep(8000),
                       run_encoding_sweep(/*smoke=*/true));
     }
-    // Small leveled-vs-flat sustained-ingest artifact for CI assertions.
+    // Small leveled sustained-ingest artifact for CI assertions.
     if (runs_leg("compaction")) run_compaction_sweep(/*smoke=*/true);
     // Admission-mode sweep under mixed read/write traffic (MVCC snapshot
     // readers vs sustained writers); CI asserts on BENCH_mixed.json.
@@ -928,54 +901,49 @@ int main(int argc, char** argv) {
   }
 
   {
-    util::TablePrinter table({"flush_entries", "fanin", "ingest", "scan",
+    util::TablePrinter table({"flush_entries", "ingest", "scan",
                               "minor_compactions"});
     for (std::size_t flush : {5000, 20000, 100000}) {
-      for (std::size_t fanin : {4, 16}) {
-        nosql::TableConfig cfg;
-        cfg.flush_entries = flush;
-        cfg.compaction_fanin = fanin;
-        nosql::Instance db(1);
-        db.create_table("t", cfg);
-        util::Timer t;
-        {
-          nosql::BatchWriter writer(db, "t");
-          for (std::size_t i = 0; i < kCells; ++i) {
-            nosql::Mutation m(util::zero_pad(i % 997, 4));
-            m.put("f", util::zero_pad(i / 997, 6), nosql::encode_double(1.0));
-            writer.add_mutation(std::move(m));
-          }
-          writer.flush();
+      nosql::TableConfig cfg;
+      cfg.flush_entries = flush;
+      nosql::Instance db(1);
+      db.create_table("t", cfg);
+      util::Timer t;
+      {
+        nosql::BatchWriter writer(db, "t");
+        for (std::size_t i = 0; i < kCells; ++i) {
+          nosql::Mutation m(util::zero_pad(i % 997, 4));
+          m.put("f", util::zero_pad(i / 997, 6), nosql::encode_double(1.0));
+          writer.add_mutation(std::move(m));
         }
-        const double ingest = static_cast<double>(kCells) / t.seconds();
-        t.reset();
-        nosql::Scanner scanner(db, "t");
-        std::size_t seen = 0;
-        scanner.for_each(
-            [&seen](const nosql::Key&, const nosql::Value&) { ++seen; });
-        const double scan = static_cast<double>(seen) / t.seconds();
-        std::size_t mincs = 0;
-        for (auto& [tablet, sid] :
-             db.tablets_for_range("t", nosql::Range::all())) {
-          mincs += tablet->stats().minor_compactions;
-        }
-        table.add_row({std::to_string(flush), std::to_string(fanin),
-                       util::human_rate(ingest), util::human_rate(scan),
-                       std::to_string(mincs)});
+        writer.flush();
       }
+      const double ingest = static_cast<double>(kCells) / t.seconds();
+      t.reset();
+      nosql::Scanner scanner(db, "t");
+      std::size_t seen = 0;
+      scanner.for_each(
+          [&seen](const nosql::Key&, const nosql::Value&) { ++seen; });
+      const double scan = static_cast<double>(seen) / t.seconds();
+      std::size_t mincs = 0;
+      for (auto& [tablet, sid] :
+           db.tablets_for_range("t", nosql::Range::all())) {
+        mincs += tablet->stats().minor_compactions;
+      }
+      table.add_row({std::to_string(flush), util::human_rate(ingest),
+                     util::human_rate(scan), std::to_string(mincs)});
     }
-    table.print("LSM tuning: flush threshold and compaction fan-in");
+    table.print("LSM tuning: flush threshold");
   }
 
-  // Scan artifact: block-size sweep over the legacy path plus the RFL3
-  // prefix-encoding sweep (cells-per-cached-byte on R-MAT adjacency and
-  // the tweet term table).
+  // Scan artifact: block-size sweep plus the RFL3 encoding sweep
+  // (cells-per-cached-byte on R-MAT adjacency and the tweet term table).
   if (runs_leg("scan")) {
     write_scan_json(run_scan_block_sweep(2 * kCells),
                     run_encoding_sweep(/*smoke=*/false));
   }
 
-  // Leveled vs flat amplification under sustained overwrite ingest.
+  // Leveled amplification under sustained overwrite ingest.
   if (runs_leg("compaction")) run_compaction_sweep(/*smoke=*/false);
 
   // Admission-mode sweep under mixed read/write traffic.

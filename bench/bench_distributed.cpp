@@ -15,17 +15,18 @@
 // one (small-integer sums are exact); the bench exits nonzero on any
 // disagreement, so CI smoke doubles as an equivalence gate. Emits
 // BENCH_distributed.json; --smoke shrinks sizes for CI.
+//
+// The daemons are a perfbench::Fleet: a failed start throws, and every
+// exit path (including that exception) kills and reaps the daemons
+// already running; each daemon also dies with this process.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,86 +43,11 @@
 #include "util/timer.hpp"
 
 #include "bench_metrics.hpp"
+#include "perfbench/fleet.hpp"
 
 using namespace graphulo;
 
 namespace {
-
-/// One forked tablet-server daemon (stdout piped for the LISTENING
-/// handshake). Hard-killed at destruction.
-class Daemon {
- public:
-  Daemon(const std::string& data_dir, std::uint32_t server_index,
-         const std::vector<std::string>& boundaries) {
-    std::string joined;
-    for (const auto& b : boundaries) {
-      if (!joined.empty()) joined += ',';
-      joined += b;
-    }
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      std::perror("pipe");
-      std::exit(1);
-    }
-    pid_ = ::fork();
-    if (pid_ < 0) {
-      std::perror("fork");
-      std::exit(1);
-    }
-    if (pid_ == 0) {
-      ::close(fds[0]);
-      ::dup2(fds[1], STDOUT_FILENO);
-      ::close(fds[1]);
-      const std::string index = std::to_string(server_index);
-      std::vector<const char*> argv = {GRAPHULO_TSD_PATH,
-                                       "--port",         "0",
-                                       "--server-index", index.c_str(),
-                                       "--data-dir",     data_dir.c_str()};
-      if (!joined.empty()) {
-        argv.push_back("--boundaries");
-        argv.push_back(joined.c_str());
-      }
-      argv.push_back(nullptr);
-      ::execv(GRAPHULO_TSD_PATH, const_cast<char* const*>(argv.data()));
-      ::perror("execv graphulo_tsd");
-      ::_exit(127);
-    }
-    ::close(fds[1]);
-    std::string out;
-    char buf[256];
-    while (true) {
-      const ssize_t n = ::read(fds[0], buf, sizeof(buf));
-      if (n <= 0) {
-        std::fprintf(stderr, "daemon handshake not seen: %s\n", out.c_str());
-        std::exit(1);
-      }
-      out.append(buf, static_cast<std::size_t>(n));
-      const auto at = out.find("GRAPHULO_TSD LISTENING port=");
-      if (at != std::string::npos && out.find('\n', at) != std::string::npos) {
-        port_ = static_cast<std::uint16_t>(
-            std::stoul(out.substr(at + 28, out.find('\n', at) - (at + 28))));
-        break;
-      }
-    }
-    out_fd_ = fds[0];
-  }
-
-  ~Daemon() {
-    if (pid_ > 0) {
-      ::kill(pid_, SIGKILL);
-      int status = 0;
-      ::waitpid(pid_, &status, 0);
-    }
-    if (out_fd_ >= 0) ::close(out_fd_);
-  }
-
-  distributed::Endpoint endpoint() const { return {"127.0.0.1", port_}; }
-
- private:
-  pid_t pid_ = -1;
-  int out_fd_ = -1;
-  std::uint16_t port_ = 0;
-};
 
 struct CellTally {
   std::size_t cells = 0;
@@ -152,12 +78,9 @@ CellTally tally_remote(distributed::Cluster& cluster,
   return t;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  bench::MetricsDump metrics_dump(argc, argv);
-
+/// Runs every leg against a fleet whose data directories live under
+/// `base`; returns the process exit status.
+int run(bool smoke, const std::string& base) {
   const int scan_rows = smoke ? 20000 : 200000;
   const int rmat_scale = smoke ? 7 : 9;
 
@@ -171,21 +94,12 @@ int main(int argc, char** argv) {
   const int key_span = std::max<int>(scan_rows, n);
   const std::vector<std::string> boundaries = {
       assoc::vertex_key(key_span / 3), assoc::vertex_key(2 * key_span / 3)};
-  const std::string base =
-      std::filesystem::temp_directory_path().string() + "/graphulo_bench_tsd_" +
-      std::to_string(::getpid());
-  std::filesystem::remove_all(base);
-  std::vector<std::unique_ptr<Daemon>> fleet;
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    fleet.push_back(std::make_unique<Daemon>(base + "/s" + std::to_string(i),
-                                             i, boundaries));
-  }
+  const perfbench::Fleet fleet(GRAPHULO_TSD_PATH, base, boundaries);
+  const auto endpoints = fleet.cluster().endpoints();
   const auto make_cluster = [&](std::uint32_t scan_batch) {
     distributed::ClusterOptions options;
     options.scan_batch_cells = scan_batch;
-    std::vector<distributed::Endpoint> endpoints;
-    for (const auto& d : fleet) endpoints.push_back(d->endpoint());
-    return distributed::Cluster(std::move(endpoints), boundaries, options);
+    return distributed::Cluster(endpoints, boundaries, options);
   };
 
   std::string json = "{\"bench\": \"distributed\", \"smoke\": ";
@@ -323,7 +237,24 @@ int main(int argc, char** argv) {
   std::printf("wrote BENCH_distributed.json (%s)\n",
               agree ? "local and distributed products agree"
                     : "DISAGREEMENT between local and distributed products");
-  fleet.clear();
-  std::filesystem::remove_all(base);
   return agree ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bench::MetricsDump metrics_dump(argc, argv);
+  const std::string base =
+      std::filesystem::temp_directory_path().string() + "/graphulo_bench_tsd_" +
+      std::to_string(::getpid());
+  std::filesystem::remove_all(base);
+  int status = 1;
+  try {
+    status = run(smoke, base);  // the fleet is reaped before this returns
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_distributed: %s\n", e.what());
+  }
+  std::filesystem::remove_all(base);
+  return status;
 }

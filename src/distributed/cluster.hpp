@@ -67,6 +67,7 @@ class Cluster {
           ClusterOptions options = {});
 
   std::size_t num_servers() const noexcept { return endpoints_.size(); }
+  const std::vector<Endpoint>& endpoints() const noexcept { return endpoints_; }
   const std::vector<std::string>& boundaries() const noexcept {
     return boundaries_;
   }

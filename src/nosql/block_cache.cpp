@@ -59,34 +59,6 @@ BlockCache::Shard& BlockCache::shard_for(const BlockKey& key) {
   return *shards_[BlockKeyHash{}(key) & (shards_.size() - 1)];
 }
 
-bool BlockCache::touch(std::uint64_t file_id, std::uint64_t block_index,
-                       const Pin& pin, std::size_t charge) {
-  const BlockKey key{file_id, block_index};
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    ++shard.hits;
-    cache_hits().inc();
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return true;
-  }
-  ++shard.misses;
-  cache_misses().inc();
-  shard.lru.push_front(Entry{key, pin, charge});
-  shard.map.emplace(key, shard.lru.begin());
-  shard.bytes += charge;
-  while (shard.bytes > shard_capacity_ && shard.lru.size() > 1) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.charge;
-    shard.map.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-    cache_evictions().inc();
-  }
-  return false;
-}
-
 BlockCache::Pin BlockCache::find(std::uint64_t file_id,
                                  std::uint64_t block_index) {
   const BlockKey key{file_id, block_index};

@@ -2,14 +2,15 @@
 // Sharded LRU cache of RFile data blocks, modelled on Accumulo's
 // tserver data-block cache. Entries are keyed by (file id, block
 // index), where a block is one index-stride window of an RFile — the
-// unit the sparse seek index narrows to. Each resident entry pins its
-// file's cell storage and charges the block's approximate byte size
+// unit the block index narrows a seek to. Each resident entry pins the
+// block's DECODED cells and charges the block's encoded byte size
 // against a fixed byte budget; insertion past the budget evicts
 // least-recently-used blocks.
 //
 // In this in-process stand-in RFiles are memory-resident, so a "miss"
-// does not fault a disk read — the cache is the residency/accounting
-// model the real system's cache-hit economics hang off: hits, misses
+// costs a block decode rather than a disk read — the cache is the
+// residency/accounting model the real system's cache-hit economics
+// hang off: hits, misses
 // and evictions are counted exactly as a disk-backed cache would count
 // them, and the hit rate over a workload measures its real reuse.
 //
@@ -46,22 +47,16 @@ class BlockCache {
   /// two.
   explicit BlockCache(std::size_t capacity_bytes, std::size_t num_shards = 8);
 
-  /// Looks up (file_id, block_index), refreshing its LRU position.
-  /// Returns true on a hit. On a miss the block is inserted with the
-  /// given pin and byte charge, evicting LRU entries until the shard is
-  /// back under budget (an oversized block may evict everything and
-  /// still be admitted — the budget is approximate, as in Accumulo).
-  bool touch(std::uint64_t file_id, std::uint64_t block_index, const Pin& pin,
-             std::size_t charge);
-
-  /// Lookup-only half of the decode-through protocol: returns the
-  /// resident pin (refreshing its LRU position) or nullptr on a miss.
-  /// Hit/miss counters update either way; a miss does NOT insert — the
-  /// caller decodes the block and hands the result to insert().
+  /// Lookup half of the decode-through protocol: returns the resident
+  /// pin (refreshing its LRU position) or nullptr on a miss. Hit/miss
+  /// counters update either way; a miss does NOT insert — the caller
+  /// decodes the block and hands the result to insert().
   Pin find(std::uint64_t file_id, std::uint64_t block_index);
 
   /// Inserts a freshly decoded block (typically after a find() miss),
-  /// evicting LRU entries past the shard budget. If the key is already
+  /// evicting LRU entries until the shard is back under budget (an
+  /// oversized block may evict everything and still be admitted — the
+  /// budget is approximate, as in Accumulo). If the key is already
   /// resident (another scan raced the decode) the existing entry is
   /// refreshed and kept — dropping the duplicate charge keeps the
   /// budget accounting exact. No hit/miss counting: find() did that.

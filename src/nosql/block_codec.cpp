@@ -15,24 +15,51 @@ std::size_t shared_prefix(const std::string& a, const std::string& b) {
   return i;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
 std::uint32_t get_u32(const char* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-void encode_component(std::string& out, const std::string& prev,
-                      const std::string& cur, bool restart) {
-  const std::size_t shared = restart ? 0 : shared_prefix(prev, cur);
-  put_varint(out, shared);
-  put_varint(out, cur.size() - shared);
-  out.append(cur, shared, cur.size() - shared);
+/// Longest varint encoding of a 64-bit value.
+constexpr std::size_t kMaxVarint = 10;
+
+/// Writes `v` as a varint at `p`; returns the end of what was written.
+char* write_varint(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+/// Writes one delta-coded component (`prev == nullptr` at a restart).
+char* write_component(char* p, const std::string* prev,
+                      const std::string& cur) {
+  const std::size_t shared = prev ? shared_prefix(*prev, cur) : 0;
+  const std::size_t tail = cur.size() - shared;
+  p = write_varint(p, shared);
+  p = write_varint(p, tail);
+  std::memcpy(p, cur.data() + shared, tail);
+  return p + tail;
+}
+
+/// Decodes one delta-coded component into `cur`: the first `shared`
+/// bytes of `prev` (the previous entry's value) followed by the tail.
+/// `cur` keeps its capacity, so a reused slot decodes without
+/// allocating.
+bool read_component(const char*& p, const char* end, const std::string& prev,
+                    std::string& cur) {
+  std::uint64_t shared = 0, tail = 0;
+  if (!get_varint(p, end, shared) || !get_varint(p, end, tail)) return false;
+  if (shared > prev.size()) return false;
+  if (static_cast<std::uint64_t>(end - p) < tail) return false;
+  cur.resize(static_cast<std::size_t>(shared + tail));
+  std::memcpy(cur.data(), prev.data(), static_cast<std::size_t>(shared));
+  std::memcpy(cur.data() + shared, p, static_cast<std::size_t>(tail));
+  p += tail;
+  return true;
 }
 
 /// Decodes one delta-coded component in place: `cur` is the previous
@@ -96,14 +123,6 @@ bool parse_trailer(std::string_view raw, const char*& entries_end,
 
 }  // namespace
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
 bool get_varint(const char*& p, const char* end, std::uint64_t& v) {
   v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
@@ -118,29 +137,55 @@ bool get_varint(const char*& p, const char* end, std::uint64_t& v) {
 std::string encode_block(const Cell* cells, std::size_t n,
                          std::size_t restart_interval) {
   const std::size_t interval = std::max<std::size_t>(1, restart_interval);
-  std::string out;
-  std::vector<std::uint32_t> restarts;
-  static const std::string kEmpty;
+  const std::size_t num_restarts =
+      std::max<std::size_t>(1, (n + interval - 1) / interval);
+  // Encode into per-thread scratch sized for the worst case (every
+  // entry's raw bytes, ten maximal varints and its flag byte, plus the
+  // restart trailer), then copy out exactly the bytes used: one
+  // allocation per block and no bounds checks per byte.
+  std::size_t bound = (num_restarts + 1) * sizeof(std::uint32_t);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Key& k = cells[i].key;
+    bound += k.row.size() + k.family.size() + k.qualifier.size() +
+             k.visibility.size() + cells[i].value.size() +
+             10 * kMaxVarint + 1;
+  }
+  thread_local std::string scratch;
+  if (scratch.size() < bound) scratch.resize(bound);
+  char* const base = scratch.data();
+  char* p = base;
+  char* restarts = base + bound - (num_restarts + 1) * sizeof(std::uint32_t);
+  std::uint32_t restart_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const bool restart = i % interval == 0;
-    if (restart) restarts.push_back(static_cast<std::uint32_t>(out.size()));
+    if (restart) {
+      const auto off = static_cast<std::uint32_t>(p - base);
+      std::memcpy(restarts + restart_count++ * sizeof(off), &off, sizeof(off));
+    }
     const Key& k = cells[i].key;
     const Key* prev = restart ? nullptr : &cells[i - 1].key;
-    encode_component(out, prev ? prev->row : kEmpty, k.row, restart);
-    encode_component(out, prev ? prev->family : kEmpty, k.family, restart);
-    encode_component(out, prev ? prev->qualifier : kEmpty, k.qualifier,
-                     restart);
-    encode_component(out, prev ? prev->visibility : kEmpty, k.visibility,
-                     restart);
-    put_varint(out, zigzag(k.ts - (prev ? prev->ts : 0)));
-    out.push_back(k.deleted ? 1 : 0);
-    put_varint(out, cells[i].value.size());
-    out.append(cells[i].value);
+    p = write_component(p, prev ? &prev->row : nullptr, k.row);
+    p = write_component(p, prev ? &prev->family : nullptr, k.family);
+    p = write_component(p, prev ? &prev->qualifier : nullptr, k.qualifier);
+    p = write_component(p, prev ? &prev->visibility : nullptr, k.visibility);
+    p = write_varint(p, zigzag(k.ts - (prev ? prev->ts : 0)));
+    *p++ = k.deleted ? 1 : 0;
+    p = write_varint(p, cells[i].value.size());
+    std::memcpy(p, cells[i].value.data(), cells[i].value.size());
+    p += cells[i].value.size();
   }
-  if (restarts.empty()) restarts.push_back(0);  // canonical empty block
-  for (const auto r : restarts) put_u32(out, r);
-  put_u32(out, static_cast<std::uint32_t>(restarts.size()));
-  return out;
+  if (restart_count == 0) {  // canonical empty block: one restart at 0
+    const std::uint32_t zero = 0;
+    std::memcpy(restarts, &zero, sizeof(zero));
+    restart_count = 1;
+  }
+  // Entries end at or before the trailer's reserved slot; slide the
+  // trailer down to follow them.
+  std::memmove(p, restarts, restart_count * sizeof(std::uint32_t));
+  p += restart_count * sizeof(std::uint32_t);
+  std::memcpy(p, &restart_count, sizeof(restart_count));
+  p += sizeof(restart_count);
+  return std::string(base, static_cast<std::size_t>(p - base));
 }
 
 bool decode_block(std::string_view raw, std::size_t expected_count,
@@ -152,6 +197,7 @@ bool decode_block(std::string_view raw, std::size_t expected_count,
   out.resize(expected_count);
   const char* p = raw.data();
   std::size_t next_restart = 0;  // index of the next unseen restart offset
+  static const Key kNoBase;
   for (std::size_t i = 0; i < expected_count; ++i) {
     Cell& c = out[i];
     // Restart entries are recognized by offset: entry offsets strictly
@@ -163,32 +209,19 @@ bool decode_block(std::string_view raw, std::size_t expected_count,
         next_restart < num_restarts &&
         get_u32(restarts + next_restart * sizeof(std::uint32_t)) == off;
     if (restart) ++next_restart;
-    if (restart || i == 0) {
-      if (i == 0 && !restart) return false;  // first entry must restart
-      c.key.row.clear();
-      c.key.family.clear();
-      c.key.qualifier.clear();
-      c.key.visibility.clear();
-      c.key.ts = 0;
-    } else {
-      // Delta base: copy the previous entry's components in, keeping
-      // this slot's heap buffers (assign reuses capacity).
-      const Cell& prev = out[i - 1];
-      c.key.row.assign(prev.key.row);
-      c.key.family.assign(prev.key.family);
-      c.key.qualifier.assign(prev.key.qualifier);
-      c.key.visibility.assign(prev.key.visibility);
-      c.key.ts = prev.key.ts;
-    }
-    if (!decode_component(p, entries_end, c.key.row) ||
-        !decode_component(p, entries_end, c.key.family) ||
-        !decode_component(p, entries_end, c.key.qualifier) ||
-        !decode_component(p, entries_end, c.key.visibility)) {
+    if (i == 0 && !restart) return false;  // first entry must restart
+    // Delta base: the previous entry, or nothing at a restart (the
+    // encoder stored absolute values there).
+    const Key& base = restart ? kNoBase : out[i - 1].key;
+    if (!read_component(p, entries_end, base.row, c.key.row) ||
+        !read_component(p, entries_end, base.family, c.key.family) ||
+        !read_component(p, entries_end, base.qualifier, c.key.qualifier) ||
+        !read_component(p, entries_end, base.visibility, c.key.visibility)) {
       return false;
     }
     std::uint64_t ts_delta = 0, value_len = 0;
     if (!get_varint(p, entries_end, ts_delta)) return false;
-    c.key.ts += unzigzag(ts_delta);
+    c.key.ts = base.ts + unzigzag(ts_delta);
     if (p == entries_end) return false;
     c.key.deleted = (*p++ & 1) != 0;
     if (!get_varint(p, entries_end, value_len)) return false;

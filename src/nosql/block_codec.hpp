@@ -32,9 +32,7 @@
 
 namespace graphulo::nosql::blockcodec {
 
-// ---- varint primitives (shared with the RFL3 header writer) ------------
-
-void put_varint(std::string& out, std::uint64_t v);
+// ---- varint primitives ---------------------------------------------------
 
 /// Reads one varint at `*p`, never past `end`; false on truncation or
 /// overlong encoding (> 10 bytes).

@@ -417,7 +417,6 @@ RecoveryStats recover_instance(Instance& db,
                       << edit.table << "', skipping its files";
         continue;
       }
-      const RFileOptions rfile_options = db.table_config(edit.table).rfile;
       std::vector<FileMeta> files;
       for (const FileMeta& record : edit.added) {
         const std::string fpath = rfile_path_in(dir, record.file_id);
@@ -425,7 +424,7 @@ RecoveryStats recover_instance(Instance& db,
         try {
           util::with_retries("recover_instance: file load",
                              db.retry_policy(), [&] {
-                               file = RFile::read_from(fpath, rfile_options);
+                               file = RFile::read_from(fpath);
                              });
         } catch (const util::TransientError&) {
           file = nullptr;

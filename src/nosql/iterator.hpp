@@ -155,7 +155,7 @@ class WrappingIterator : public SortedKVIterator {
 };
 
 /// Iterator over an in-memory sorted vector of cells (the building block
-/// used by memtable snapshots, RFiles and tests).
+/// used by memtable snapshots and tests).
 class VectorIterator : public SortedKVIterator {
  public:
   /// `cells` must already be sorted by Key.

@@ -22,8 +22,7 @@ using util::crc32;
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x52464c32;   // "RFL2" (RFL1 + CRC trailer)
-constexpr std::uint32_t kMagic3 = 0x52464c33;  // "RFL3" (packed blocks)
+constexpr std::uint32_t kMagic = 0x52464c33;  // "RFL3"; any other is rejected
 
 // ---- obs instrumentation ------------------------------------------------
 // Process-wide encode/decode accounting: how many logical key/value
@@ -155,9 +154,15 @@ const std::string* single_row_of(const Range& range) {
 
 // ---- construction -------------------------------------------------------
 
+namespace {
+std::uint64_t next_file_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
 RFile::RFile(std::vector<Cell> cells, const RFileOptions& options) {
-  static std::atomic<std::uint64_t> next_file_id{1};
-  file_id_ = next_file_id.fetch_add(1, std::memory_order_relaxed);
+  file_id_ = next_file_id();
   count_ = cells.size();
   stride_ = std::max<std::size_t>(1, options.index_stride);
   restart_interval_ = std::max<std::size_t>(1, options.restart_interval);
@@ -166,19 +171,8 @@ RFile::RFile(std::vector<Cell> cells, const RFileOptions& options) {
     last_key_ = cells.back().key;
   }
   build_bloom_from_cells(cells, options);
-  if (options.prefix_encode) {
-    encoded_ = true;
-    encode_cells(cells, options);
-  } else {
-    for (const auto& c : cells) {
-      bytes_ += c.key.row.size() + c.key.family.size() +
-                c.key.qualifier.size() + c.key.visibility.size() +
-                c.value.size() + sizeof(Key);
-    }
-    cells_ = std::make_shared<const std::vector<Cell>>(std::move(cells));
-    build_index(options);
-  }
-  finish_block_accounting();
+  encode_cells(cells, options);
+  finish_accounting();
 }
 
 RFile::RFile(std::vector<EncodedBlock> blocks,
@@ -186,9 +180,7 @@ RFile::RFile(std::vector<EncodedBlock> blocks,
              std::uint64_t count, std::vector<std::uint64_t> bloom,
              std::size_t bloom_bits, std::size_t stride,
              std::size_t restart_interval) {
-  static std::atomic<std::uint64_t> next_file_id{1};
-  file_id_ = next_file_id.fetch_add(1, std::memory_order_relaxed);
-  encoded_ = true;
+  file_id_ = next_file_id();
   blocks_ = std::move(blocks);
   block_first_keys_ = std::move(block_first_keys);
   first_key_ = std::move(first_key);
@@ -198,14 +190,7 @@ RFile::RFile(std::vector<EncodedBlock> blocks,
   bloom_bits_ = bloom_bits;
   stride_ = std::max<std::size_t>(1, stride);
   restart_interval_ = std::max<std::size_t>(1, restart_interval);
-  block_bytes_.reserve(blocks_.size());
-  for (const auto& b : blocks_) {
-    block_bytes_.push_back(b.data.size());
-    bytes_ += b.data.size() + sizeof(EncodedBlock);
-  }
-  for (const auto& k : block_first_keys_) bytes_ += key_bytes(k) + sizeof(Key);
-  bytes_ += bloom_.size() * sizeof(std::uint64_t);
-  finish_block_accounting();
+  finish_accounting();
 }
 
 std::shared_ptr<RFile> RFile::from_sorted(std::vector<Cell> cells,
@@ -216,28 +201,6 @@ std::shared_ptr<RFile> RFile::from_sorted(std::vector<Cell> cells,
   }
 #endif
   return std::shared_ptr<RFile>(new RFile(std::move(cells), options));
-}
-
-void RFile::build_index(const RFileOptions& options) {
-  const auto& cells = *cells_;
-  index_.reserve(cells.size() / stride_ + 1);
-  block_bytes_.reserve(cells.size() / stride_ + 1);
-  for (std::size_t i = 0; i < cells.size(); i += stride_) {
-    index_.push_back(i);
-    // Byte charge of the data block [i, i + stride): what this block
-    // costs the block cache while resident.
-    std::size_t charge = 0;
-    const std::size_t end = std::min(cells.size(), i + stride_);
-    for (std::size_t j = i; j < end; ++j) {
-      const Cell& c = cells[j];
-      charge += c.key.row.size() + c.key.family.size() +
-                c.key.qualifier.size() + c.key.visibility.size() +
-                c.value.size() + sizeof(Cell);
-    }
-    block_bytes_.push_back(charge);
-  }
-  bytes_ += (index_.size() + block_bytes_.size()) * sizeof(std::size_t);
-  (void)options;
 }
 
 void RFile::build_bloom_from_cells(const std::vector<Cell>& cells,
@@ -259,7 +222,6 @@ void RFile::build_bloom_from_cells(const std::vector<Cell>& cells,
       bloom_[bit / 64] |= 1ull << (bit % 64);
     }
   }
-  bytes_ += bloom_.size() * sizeof(std::uint64_t);
 }
 
 void RFile::encode_cells(const std::vector<Cell>& cells,
@@ -268,8 +230,8 @@ void RFile::encode_cells(const std::vector<Cell>& cells,
   const std::size_t nblocks = (cells.size() + stride_ - 1) / stride_;
   blocks_.reserve(nblocks);
   block_first_keys_.reserve(nblocks);
-  block_bytes_.reserve(nblocks);
   std::size_t raw_total = 0;
+  std::size_t packed_total = 0;
   for (std::size_t i = 0; i < cells.size(); i += stride_) {
     const std::size_t n = std::min(stride_, cells.size() - i);
     for (std::size_t j = i; j < i + n; ++j) {
@@ -290,15 +252,10 @@ void RFile::encode_cells(const std::vector<Cell>& cells,
     }
     if (!block.compressed) block.data = std::move(raw);
     block.data.shrink_to_fit();
-    block.crc = crc32(block.data.data(), block.data.size());
+    packed_total += block.data.size();
     block_first_keys_.push_back(cells[i].key);
-    block_bytes_.push_back(block.data.size());
-    bytes_ += block.data.size() + sizeof(EncodedBlock) +
-              key_bytes(cells[i].key) + sizeof(Key);
     blocks_.push_back(std::move(block));
   }
-  std::size_t packed_total = 0;
-  for (const auto& b : blocks_) packed_total += b.data.size();
   encode_raw_bytes().inc(raw_total);
   encode_packed_bytes().inc(packed_total);
   const auto raw_cum = encode_raw_bytes().value();
@@ -309,9 +266,12 @@ void RFile::encode_cells(const std::vector<Cell>& cells,
   }
 }
 
-void RFile::finish_block_accounting() {
+void RFile::finish_accounting() {
   total_block_bytes_ = 0;
-  for (const auto b : block_bytes_) total_block_bytes_ += b;
+  for (const auto& b : blocks_) total_block_bytes_ += b.data.size();
+  bytes_ = total_block_bytes_ + blocks_.size() * sizeof(EncodedBlock) +
+           bloom_.size() * sizeof(std::uint64_t);
+  for (const auto& k : block_first_keys_) bytes_ += key_bytes(k) + sizeof(Key);
 }
 
 // ---- encoded-block access -----------------------------------------------
@@ -326,18 +286,20 @@ std::string& decompress_scratch() {
 }
 }  // namespace
 
+std::string_view RFile::raw_block(std::size_t b) const {
+  const EncodedBlock& block = blocks_[b];
+  if (!block.compressed) return block.data;
+  std::string& scratch = decompress_scratch();
+  if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
+    throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
+  }
+  return scratch;
+}
+
 void RFile::decode_block_into(std::size_t b, std::vector<Cell>& out) const {
   TRACE_SPAN("rfile.block_decode");
-  const EncodedBlock& block = blocks_[b];
-  std::string_view raw(block.data);
-  if (block.compressed) {
-    std::string& scratch = decompress_scratch();
-    if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
-      throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
-    }
-    raw = scratch;
-  }
-  if (!blockcodec::decode_block(raw, block.count, out)) {
+  const std::string_view raw = raw_block(b);
+  if (!blockcodec::decode_block(raw, blocks_[b].count, out)) {
     throw std::logic_error("RFile: corrupt encoded block (post-CRC)");
   }
   decode_blocks().inc();
@@ -345,17 +307,8 @@ void RFile::decode_block_into(std::size_t b, std::vector<Cell>& out) const {
 }
 
 std::size_t RFile::in_block_lower_bound(std::size_t b, const Key& key) const {
-  const EncodedBlock& block = blocks_[b];
-  std::string_view raw(block.data);
-  if (block.compressed) {
-    std::string& scratch = decompress_scratch();
-    if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
-      throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
-    }
-    raw = scratch;
-  }
-  return blockcodec::block_lower_bound(raw, block.count, restart_interval_,
-                                       key);
+  return blockcodec::block_lower_bound(raw_block(b), blocks_[b].count,
+                                       restart_interval_, key);
 }
 
 // ---- pruning ------------------------------------------------------------
@@ -386,153 +339,21 @@ bool RFile::may_intersect(const Range& range) const {
 }
 
 std::size_t RFile::lower_bound_pos(const Key& key) const {
-  if (encoded_) {
-    if (count_ == 0) return 0;
-    // Narrow to the one block that can hold the answer: the last block
-    // whose first key is < key (an earlier block cannot contain a
-    // larger-or-equal first hit; a later block's first key is already
-    // >= key). Duplicate full keys across a block boundary resolve to
-    // the earlier block, matching plain-mode lower_bound semantics.
-    const auto ge = std::partition_point(
-        block_first_keys_.begin(), block_first_keys_.end(),
-        [&](const Key& k) { return k < key; });
-    if (ge == block_first_keys_.begin()) return 0;
-    const auto b =
-        static_cast<std::size_t>(ge - block_first_keys_.begin()) - 1;
-    return b * stride_ + in_block_lower_bound(b, key);
-  }
-  const auto& cells = *cells_;
-  // Narrow to one stride window via the sparse index, then binary-search
-  // only that window.
-  std::size_t lo = 0;
-  std::size_t hi = cells.size();
-  if (!index_.empty()) {
-    const auto first_ge = std::partition_point(
-        index_.begin(), index_.end(),
-        [&](std::size_t pos) { return cells[pos].key < key; });
-    lo = first_ge == index_.begin() ? 0 : *(first_ge - 1);
-    // cells[*first_ge].key >= key, so the answer is at or before it.
-    hi = first_ge == index_.end() ? cells.size() : *first_ge;
-  }
-  const auto it = std::lower_bound(
-      cells.begin() + static_cast<std::ptrdiff_t>(lo),
-      cells.begin() + static_cast<std::ptrdiff_t>(hi), key,
-      [](const Cell& c, const Key& k) { return c.key < k; });
-  const auto pos = static_cast<std::size_t>(it - cells.begin());
-  // When the window [lo, hi) held only smaller keys the answer is hi
-  // itself (the indexed cell known to be >= key), which lower_bound
-  // already returns.
-  return pos;
+  if (count_ == 0) return 0;
+  // Narrow to the one block that can hold the answer: the last block
+  // whose first key is < key (an earlier block cannot contain a
+  // larger-or-equal first hit; a later block's first key is already
+  // >= key). Duplicate full keys across a block boundary resolve to the
+  // earlier block, matching std::lower_bound over the sorted cells.
+  const auto ge = std::partition_point(
+      block_first_keys_.begin(), block_first_keys_.end(),
+      [&](const Key& k) { return k < key; });
+  if (ge == block_first_keys_.begin()) return 0;
+  const auto b = static_cast<std::size_t>(ge - block_first_keys_.begin()) - 1;
+  return b * stride_ + in_block_lower_bound(b, key);
 }
 
 // ---- iterators ----------------------------------------------------------
-
-/// Iterator over one plain (materialized) RFile with pruning seeks:
-/// consults the file's bounds + Bloom filter to skip impossible ranges
-/// in O(1), and the sparse block index to narrow in-range seeks.
-class RFileIterator : public SortedKVIterator {
- public:
-  explicit RFileIterator(std::shared_ptr<const RFile> file,
-                         BlockCache* cache = nullptr)
-      : file_(std::move(file)), cache_(cache) {}
-
-  void seek(const Range& range) override {
-    util::fault::point(util::fault::sites::kRFileSeek);
-    pos_ = limit_ = 0;
-    if (!file_->may_intersect(range)) return;  // pruned: exhausted
-    const auto& cells = *file_->cells_;
-    if (range.has_start) {
-      pos_ = file_->lower_bound_pos(range.start);
-      while (pos_ < cells.size() && !range.start_inclusive &&
-             cells[pos_].key == range.start) {
-        ++pos_;
-      }
-    }
-    if (range.has_end) {
-      limit_ = file_->lower_bound_pos(range.end);
-      while (limit_ < cells.size() && range.end_inclusive &&
-             cells[limit_].key == range.end) {
-        ++limit_;
-      }
-    } else {
-      limit_ = cells.size();
-    }
-    if (limit_ < pos_) limit_ = pos_;
-    if (cache_ && pos_ < limit_) {
-      // The seek landed inside a block: that block is the first read.
-      block_end_ = pos_ - pos_ % file_->block_stride();
-      touch_through(pos_);
-    }
-  }
-
-  bool has_top() const override { return pos_ < limit_; }
-  const Key& top_key() const override { return (*file_->cells_)[pos_].key; }
-  const Value& top_value() const override {
-    return (*file_->cells_)[pos_].value;
-  }
-  void next() override {
-    ++pos_;
-    if (cache_ && pos_ < limit_) touch_through(pos_);
-  }
-
-  std::size_t next_block(CellBlock& out, std::size_t max) override {
-    const auto& cells = *file_->cells_;
-    const std::size_t n = std::min(max, limit_ - pos_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Cell& c = cells[pos_ + i];
-      out.append(c.key, c.value);
-    }
-    pos_ += n;
-    if (cache_ && n > 0) touch_through(std::min(pos_, limit_ - 1));
-    return n;
-  }
-
-  std::size_t next_block_until(CellBlock& out, std::size_t max,
-                               const Key& bound, bool allow_equal) override {
-    // Gallop + binary search for the end of the qualifying run (keys
-    // ascend, so the bound test is a true-prefix predicate), then copy.
-    const std::size_t cap = std::min(max, limit_ - pos_);
-    const Cell* base = file_->cells_->data() + pos_;
-    auto within = [&](const Cell& c) {
-      const auto cmp = c.key <=> bound;
-      return cmp < 0 || (cmp == 0 && allow_equal);
-    };
-    if (cap == 0 || !within(base[0])) return 0;
-    std::size_t lo = 1, hi = 1;
-    while (hi < cap && within(base[hi])) {
-      lo = hi + 1;
-      hi *= 2;
-    }
-    if (hi > cap) hi = cap;
-    const std::size_t n = static_cast<std::size_t>(
-        std::partition_point(base + lo, base + hi, within) - base);
-    for (std::size_t i = 0; i < n; ++i) out.append(base[i].key, base[i].value);
-    pos_ += n;
-    if (cache_ && n > 0) touch_through(std::min(pos_, limit_ - 1));
-    return n;
-  }
-
- private:
-  /// Pulls every block covering positions up to `last` (inclusive)
-  /// through the cache. Iteration is forward-only, so `block_end_`
-  /// (end position of the newest touched block) makes each block cost
-  /// one cache touch per scan pass.
-  void touch_through(std::size_t last) {
-    const std::size_t stride = file_->block_stride();
-    while (block_end_ <= last) {
-      const std::size_t block = block_end_ / stride;
-      cache_->touch(file_->file_id(), block, file_->cells_,
-                    file_->block_charge(block));
-      block_end_ += stride;
-    }
-  }
-
-  std::shared_ptr<const RFile> file_;
-  BlockCache* cache_ = nullptr;
-  std::size_t pos_ = 0;
-  std::size_t limit_ = 0;
-  std::size_t block_end_ = 0;  ///< first position past the touched blocks
-};
 
 /// Iterator over one prefix-encoded RFile. Blocks decode on demand:
 /// through the BlockCache when one is attached (the pin holds the
@@ -673,15 +494,11 @@ class EncodedRFileIterator : public SortedKVIterator {
 };
 
 IterPtr RFile::iterator() const {
-  if (encoded_) return std::make_unique<EncodedRFileIterator>(shared_from_this());
-  return std::make_unique<RFileIterator>(shared_from_this());
+  return std::make_unique<EncodedRFileIterator>(shared_from_this());
 }
 
 IterPtr RFile::iterator(BlockCache* cache) const {
-  if (encoded_) {
-    return std::make_unique<EncodedRFileIterator>(shared_from_this(), cache);
-  }
-  return std::make_unique<RFileIterator>(shared_from_this(), cache);
+  return std::make_unique<EncodedRFileIterator>(shared_from_this(), cache);
 }
 
 // ---- sampling -----------------------------------------------------------
@@ -694,25 +511,16 @@ std::vector<std::string> RFile::sample_rows(std::size_t n) const {
   // and can exhaust the budget before the tail rows are ever visited,
   // skewing parallel-scan partitions toward low keys.
   const std::size_t stride = (count_ + n - 1) / n;
-  if (encoded_) {
-    std::vector<Cell> scratch;
-    std::size_t loaded = static_cast<std::size_t>(-1);
-    for (std::size_t i = 0; i < count_ && rows.size() < n; i += stride) {
-      const std::size_t b = i / stride_;
-      if (b != loaded) {
-        decode_block_into(b, scratch);
-        loaded = b;
-      }
-      const std::string& row = scratch[i - b * stride_].key.row;
-      if (rows.empty() || rows.back() != row) rows.push_back(row);
+  std::vector<Cell> scratch;
+  std::size_t loaded = static_cast<std::size_t>(-1);
+  for (std::size_t i = 0; i < count_ && rows.size() < n; i += stride) {
+    const std::size_t b = i / stride_;
+    if (b != loaded) {
+      decode_block_into(b, scratch);
+      loaded = b;
     }
-  } else {
-    const auto& cells = *cells_;
-    for (std::size_t i = 0; i < cells.size() && rows.size() < n; i += stride) {
-      if (rows.empty() || rows.back() != cells[i].key.row) {
-        rows.push_back(cells[i].key.row);
-      }
-    }
+    const std::string& row = scratch[i - b * stride_].key.row;
+    if (rows.empty() || rows.back() != row) rows.push_back(row);
   }
   // Always consider the last distinct row so the sample spans the file.
   const std::string& last_row = last_key_.row;
@@ -726,44 +534,13 @@ std::vector<std::string> RFile::sample_rows(std::size_t n) const {
   return rows;
 }
 
-// ---- disk formats -------------------------------------------------------
-// RFL2 (plain): magic(4) | payload_len(8) | payload | crc32(payload)(4)
-// RFL3 (packed): magic(4) | header_len(8) | header | crc32(header)(4) |
-//                block data bytes, concatenated (lengths + per-block
-//                crc32s live in the header)
+// ---- disk format (RFL3) -------------------------------------------------
+// magic(4) | header_len(8) | header | crc32(header)(4) |
+// block data bytes, concatenated (lengths + per-block crc32s live in the
+// header)
 
 bool RFile::write_to(const std::string& path) const {
   util::fault::point(util::fault::sites::kRFileWrite);
-  return encoded_ ? write_rfl3(path) : write_rfl2(path);
-}
-
-bool RFile::write_rfl2(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  std::string payload;
-  payload.reserve(bytes_ + cells_->size() * 8);
-  const auto count = static_cast<std::uint64_t>(cells_->size());
-  append_raw(payload, &count, sizeof(count));
-  for (const auto& c : *cells_) {
-    append_string(payload, c.key.row);
-    append_string(payload, c.key.family);
-    append_string(payload, c.key.qualifier);
-    append_string(payload, c.key.visibility);
-    append_raw(payload, &c.key.ts, sizeof(c.key.ts));
-    const char del = c.key.deleted ? 1 : 0;
-    append_raw(payload, &del, 1);
-    append_string(payload, c.value);
-  }
-  const auto payload_len = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&payload_len), sizeof(payload_len));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return static_cast<bool>(out);
-}
-
-bool RFile::write_rfl3(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   std::string header;
@@ -793,11 +570,14 @@ bool RFile::write_rfl3(const std::string& path) const {
     append_raw(header, &data_len, sizeof(data_len));
     const char compressed = block.compressed ? 1 : 0;
     append_raw(header, &compressed, 1);
-    append_raw(header, &block.crc, sizeof(block.crc));
+    // Block CRCs are computed here, off the flush/compaction path: only
+    // the on-disk copy needs them.
+    const std::uint32_t crc = crc32(block.data.data(), block.data.size());
+    append_raw(header, &crc, sizeof(crc));
   }
   const auto header_len = static_cast<std::uint64_t>(header.size());
   const std::uint32_t header_crc = crc32(header.data(), header.size());
-  out.write(reinterpret_cast<const char*>(&kMagic3), sizeof(kMagic3));
+  out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
   out.write(reinterpret_cast<const char*>(&header_len), sizeof(header_len));
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(reinterpret_cast<const char*>(&header_crc), sizeof(header_crc));
@@ -808,64 +588,13 @@ bool RFile::write_rfl3(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-std::shared_ptr<RFile> RFile::read_from(const std::string& path,
-                                        const RFileOptions& options) {
+std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
   util::fault::point(util::fault::sites::kRFileRead);
   std::ifstream in(path, std::ios::binary);
   if (!in) return nullptr;
   std::uint32_t magic = 0;
   if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) return nullptr;
-  // Version dispatch: RFL2 files written before the packed layout still
-  // load (and re-encode in memory when the options ask for it); RFL3
-  // files keep their packed blocks verbatim.
-  if (magic == kMagic) return read_rfl2(in, options);
-  if (magic == kMagic3) return read_rfl3(in, options);
-  return nullptr;
-}
-
-std::shared_ptr<RFile> RFile::read_rfl2(std::ifstream& in,
-                                        const RFileOptions& options) {
-  std::uint64_t payload_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len))) {
-    return nullptr;
-  }
-  std::string payload(payload_len, '\0');
-  if (!in.read(payload.data(), static_cast<std::streamsize>(payload_len))) {
-    return nullptr;  // truncated
-  }
-  std::uint32_t stored_crc = 0;
-  if (!in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc))) {
-    return nullptr;
-  }
-  if (crc32(payload.data(), payload.size()) != stored_crc) {
-    return nullptr;  // corrupt (bit flips, partial writes)
-  }
-  PayloadReader reader{payload.data(), payload.size()};
-  std::uint64_t count = 0;
-  if (!reader.read_raw(&count, sizeof(count))) return nullptr;
-  std::vector<Cell> cells;
-  cells.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Cell c;
-    if (!reader.read_string(c.key.row) || !reader.read_string(c.key.family) ||
-        !reader.read_string(c.key.qualifier) ||
-        !reader.read_string(c.key.visibility)) {
-      return nullptr;
-    }
-    if (!reader.read_raw(&c.key.ts, sizeof(c.key.ts))) return nullptr;
-    char del = 0;
-    if (!reader.read_raw(&del, 1)) return nullptr;
-    c.key.deleted = del != 0;
-    if (!reader.read_string(c.value)) return nullptr;
-    if (!cells.empty() && c.key < cells.back().key) return nullptr;  // corrupt
-    cells.push_back(std::move(c));
-  }
-  if (reader.remaining != 0) return nullptr;  // trailing garbage
-  return from_sorted(std::move(cells), options);
-}
-
-std::shared_ptr<RFile> RFile::read_rfl3(std::ifstream& in,
-                                        const RFileOptions& options) {
+  if (magic != kMagic) return nullptr;
   std::uint64_t header_len = 0;
   if (!in.read(reinterpret_cast<char*>(&header_len), sizeof(header_len))) {
     return nullptr;
@@ -911,43 +640,46 @@ std::shared_ptr<RFile> RFile::read_rfl3(std::ifstream& in,
   if (nblocks != (count + stride - 1) / stride) return nullptr;
   std::vector<EncodedBlock> blocks;
   std::vector<Key> first_keys;
+  std::vector<std::uint32_t> crcs;
   blocks.reserve(nblocks);
   first_keys.reserve(nblocks);
+  crcs.reserve(nblocks);
   std::uint64_t cells_seen = 0;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     Key fk;
     if (!read_key(reader, fk)) return nullptr;
     if (!first_keys.empty() && fk < first_keys.back()) return nullptr;
     EncodedBlock block;
-    std::uint32_t data_len = 0;
+    std::uint32_t data_len = 0, crc = 0;
     char compressed = 0;
     if (!reader.read_raw(&block.count, sizeof(block.count)) ||
         !reader.read_raw(&block.raw_bytes, sizeof(block.raw_bytes)) ||
         !reader.read_raw(&data_len, sizeof(data_len)) ||
         !reader.read_raw(&compressed, 1) ||
-        !reader.read_raw(&block.crc, sizeof(block.crc))) {
+        !reader.read_raw(&crc, sizeof(crc))) {
       return nullptr;
     }
     if (block.count == 0 || block.count > stride) return nullptr;
     block.compressed = compressed != 0;
     block.data.resize(data_len);  // filled from the data section below
     cells_seen += block.count;
+    crcs.push_back(crc);
     blocks.push_back(std::move(block));
     first_keys.push_back(std::move(fk));
   }
   if (reader.remaining != 0) return nullptr;  // trailing header garbage
   if (cells_seen != count) return nullptr;
-  for (auto& block : blocks) {
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    auto& block = blocks[b];
     if (!in.read(block.data.data(),
                  static_cast<std::streamsize>(block.data.size()))) {
       return nullptr;  // truncated data section
     }
-    if (crc32(block.data.data(), block.data.size()) != block.crc) {
+    if (crc32(block.data.data(), block.data.size()) != crcs[b]) {
       return nullptr;  // per-block corruption (bit flips, torn writes)
     }
   }
   if (in.peek() != std::ifstream::traits_type::eof()) return nullptr;
-  (void)options;  // the stored layout wins for packed files
   return std::shared_ptr<RFile>(new RFile(
       std::move(blocks), std::move(first_keys), std::move(first_key),
       std::move(last_key), count, std::move(bloom),

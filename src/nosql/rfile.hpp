@@ -1,26 +1,24 @@
 #pragma once
 // Immutable sorted run ("RFile", after Accumulo's file format). Produced
 // by minor compactions (memtable flush) and major compactions (merging
-// several files through the compaction iterator stack). Carries a sparse
-// block index (every Nth key) consulted by seek, a per-file row Bloom
-// filter plus first/last-key bounds for seek pruning, and is optionally
-// serializable to disk with CRC32 integrity checksums.
+// several files through the compaction iterator stack). Carries a block
+// index (the first key of every block) consulted by seek, a per-file
+// row Bloom filter plus first/last-key bounds for seek pruning, and is
+// optionally serializable to disk (the RFL3 format) with CRC32
+// integrity checksums.
 //
-// Two storage modes, chosen by RFileOptions::prefix_encode:
-//   plain    every cell materialized in one sorted vector (the legacy
-//            layout; default, zero-overhead scan path)
-//   encoded  cells packed into per-block byte buffers: shared-prefix
-//            delta compression with varint lengths and restart points
-//            (nosql/block_codec.hpp), optionally followed by a
-//            general-purpose per-block compressor (util/lz.hpp).
-//            Blocks decode on demand; with a BlockCache attached, hot
-//            blocks stay decoded in the cache while being charged at
-//            their ENCODED byte size — the same cache_bytes budget
-//            holds several times more cells than the plain layout.
+// Cells are packed into per-block byte buffers: shared-prefix delta
+// compression with varint lengths and restart points
+// (nosql/block_codec.hpp), optionally followed by a general-purpose
+// per-block compressor (util/lz.hpp). Blocks decode on demand; with a
+// BlockCache attached, hot blocks stay decoded in the cache while being
+// charged at their ENCODED byte size, so a cache_bytes budget holds
+// several times more cells than their materialized size would allow.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nosql/iterator.hpp"
@@ -47,17 +45,12 @@ struct RFileOptions {
   /// only).
   std::size_t bloom_bits_per_row = 10;
   /// Byte budget for the table's RFile block cache (see
-  /// nosql/block_cache.hpp). 0 disables caching entirely — iterators
-  /// never touch a cache and pay zero overhead.
+  /// nosql/block_cache.hpp). 0 disables caching entirely: iterators
+  /// decode into a private buffer and never touch a cache.
   std::size_t cache_bytes = 0;
-  /// Store cells in prefix-compressed packed blocks (the RFL3 layout)
-  /// instead of one materialized vector. Off by default: the plain
-  /// path is byte-for-byte the pre-RFL3 code.
-  bool prefix_encode = false;
-  /// Full (non-delta) key every `restart_interval` cells inside an
-  /// encoded block; seeks binary-search the restart array and decode
-  /// at most this many keys linearly. Only meaningful with
-  /// prefix_encode.
+  /// Full (non-delta) key every `restart_interval` cells inside a
+  /// block; seeks binary-search the restart array and decode at most
+  /// this many keys linearly.
   std::size_t restart_interval = 16;
   /// Optional per-block compressor applied after prefix encoding.
   RFileCompressor compressor = RFileCompressor::kNone;
@@ -74,9 +67,6 @@ class RFile : public std::enable_shared_from_this<RFile> {
   std::size_t entry_count() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
 
-  /// True when cells live in packed prefix-encoded blocks.
-  bool prefix_encoded() const noexcept { return encoded_; }
-
   /// Smallest / largest key (preconditions: !empty()).
   const Key& first_key() const { return first_key_; }
   const Key& last_key() const { return last_key_; }
@@ -90,22 +80,20 @@ class RFile : public std::enable_shared_from_this<RFile> {
 
   /// Same, but every data block the iterator reads is pulled through
   /// `cache` (see nosql/block_cache.hpp). `cache == nullptr` behaves
-  /// exactly like iterator(). For encoded files the cache is
-  /// decode-through: pins hold DECODED cell blocks (hot blocks never
-  /// re-decode) charged at their encoded byte size.
+  /// exactly like iterator(). The cache is decode-through: pins hold
+  /// DECODED cell blocks (hot blocks never re-decode) charged at their
+  /// encoded byte size.
   IterPtr iterator(BlockCache* cache) const;
 
   /// Process-unique id of this file, the cache key namespace.
   std::uint64_t file_id() const noexcept { return file_id_; }
 
   /// Data-block geometry for the cache: cells per block and per-block
-  /// byte charges. Encoded files charge the actual encoded (possibly
-  /// compressed) block size; plain files charge the materialized
-  /// estimate, which is what they really pin.
+  /// byte charges (the encoded, possibly compressed, block size).
   std::size_t block_stride() const noexcept { return stride_; }
-  std::size_t block_count() const noexcept { return block_bytes_.size(); }
+  std::size_t block_count() const noexcept { return blocks_.size(); }
   std::size_t block_charge(std::size_t block) const {
-    return block_bytes_[block];
+    return blocks_[block].data.size();
   }
   /// Sum of block_charge over all blocks: the file's total cache cost.
   std::size_t total_block_bytes() const noexcept { return total_block_bytes_; }
@@ -121,48 +109,40 @@ class RFile : public std::enable_shared_from_this<RFile> {
   bool may_contain_row(const std::string& row) const;
 
   /// Position of the first cell with key >= `key` (entry_count() when
-  /// none). Sparse-index-accelerated binary search; on encoded files
-  /// the in-block step binary-searches restart points and decodes at
-  /// most restart_interval keys.
+  /// none). Binary search over the block first keys; the in-block step
+  /// binary-searches restart points and decodes at most
+  /// restart_interval keys.
   std::size_t lower_bound_pos(const Key& key) const;
 
   /// Up to `n` evenly spaced row keys from this file (distinct-adjacent,
   /// sorted). The stride rounds UP and the file's last distinct row is
   /// always considered, so parallel-scan partitions derived from the
   /// samples cover the tail of the key space instead of skewing toward
-  /// low keys. Plain files are O(n); encoded files decode one block per
-  /// sample (keys only).
+  /// low keys. Decodes one block per sample.
   std::vector<std::string> sample_rows(std::size_t n) const;
 
-  /// Serializes to disk: plain files write the legacy RFL2 layout
-  /// (length-prefixed cells, one trailing CRC32); encoded files write
-  /// RFL3 (checksummed header + packed blocks with per-block CRC32s).
-  /// Returns false on I/O failure.
+  /// Serializes to disk in the RFL3 format (checksummed header + packed
+  /// blocks with per-block CRC32s). Returns false on I/O failure.
   bool write_to(const std::string& path) const;
 
-  /// Loads a file written by write_to(), dispatching on the format
-  /// magic — RFL2 files from before the packed layout still load.
-  /// nullptr on failure or if the content fails validation (bad magic,
-  /// truncation, CRC mismatch, unsorted keys). `options` decides the
-  /// in-memory mode of the loaded file (an RFL2 file read with
-  /// prefix_encode on is re-encoded; an RFL3 file keeps its packed
-  /// blocks verbatim).
-  static std::shared_ptr<RFile> read_from(const std::string& path,
-                                          const RFileOptions& options = {});
+  /// Loads a file written by write_to(); the packed blocks are adopted
+  /// verbatim, so the file keeps the geometry it was written with.
+  /// nullptr on failure or if the content fails validation (bad or
+  /// retired magic such as RFL2, truncation, CRC mismatch, unsorted
+  /// keys).
+  static std::shared_ptr<RFile> read_from(const std::string& path);
 
-  /// Approximate in-memory footprint in bytes (encoded files: packed
-  /// bytes + metadata, i.e. the compressed footprint).
+  /// Approximate in-memory footprint in bytes: packed bytes + metadata,
+  /// i.e. the compressed footprint.
   std::size_t approximate_bytes() const noexcept { return bytes_; }
 
  private:
-  friend class RFileIterator;
   friend class EncodedRFileIterator;
 
   /// One packed data block: `stride_` cells (fewer in the last block)
   /// prefix-encoded and optionally compressed.
   struct EncodedBlock {
     std::string data;            ///< stored bytes (post-compressor)
-    std::uint32_t crc = 0;       ///< crc32 of `data` as stored
     std::uint32_t count = 0;     ///< cells in this block
     std::uint32_t raw_bytes = 0; ///< pre-compressor size (== data.size()
                                  ///< when not compressed)
@@ -176,12 +156,19 @@ class RFile : public std::enable_shared_from_this<RFile> {
         std::vector<std::uint64_t> bloom, std::size_t bloom_bits,
         std::size_t stride, std::size_t restart_interval);
 
-  void build_index(const RFileOptions& options);
   void build_bloom_from_cells(const std::vector<Cell>& cells,
                               const RFileOptions& options);
   void encode_cells(const std::vector<Cell>& cells,
                     const RFileOptions& options);
-  void finish_block_accounting();
+  /// Derives bytes_ and total_block_bytes_ from the blocks, their first
+  /// keys and the Bloom filter (shared by both constructors, so a
+  /// reloaded file reports exactly the footprint it was written with).
+  void finish_accounting();
+
+  /// Block `b`'s prefix-encoded bytes: the stored data, or for a
+  /// compressed block its decompression into per-thread scratch (valid
+  /// until this thread's next raw_block call).
+  std::string_view raw_block(std::size_t b) const;
 
   /// Decodes block `b` into `out` (resized; slot capacity reused).
   /// Decompresses first when the block carries a compressor. Throws
@@ -193,31 +180,15 @@ class RFile : public std::enable_shared_from_this<RFile> {
   /// an in-block index in [0, block count].
   std::size_t in_block_lower_bound(std::size_t b, const Key& key) const;
 
-  bool write_rfl2(const std::string& path) const;
-  bool write_rfl3(const std::string& path) const;
-  static std::shared_ptr<RFile> read_rfl2(std::ifstream& in,
-                                          const RFileOptions& options);
-  static std::shared_ptr<RFile> read_rfl3(std::ifstream& in,
-                                          const RFileOptions& options);
-
-  // ---- common metadata --------------------------------------------------
   std::uint64_t file_id_ = 0;             ///< process-unique
   std::size_t count_ = 0;                 ///< total cells
   std::size_t bytes_ = 0;
   std::size_t stride_ = 1;                ///< cells per data block
-  std::vector<std::size_t> block_bytes_;  ///< per-block byte charges
   std::size_t total_block_bytes_ = 0;
   std::vector<std::uint64_t> bloom_;      ///< row Bloom bits; empty = off
   std::size_t bloom_bits_ = 0;
   Key first_key_;
   Key last_key_;
-
-  // ---- plain mode -------------------------------------------------------
-  std::shared_ptr<const std::vector<Cell>> cells_;  ///< null when encoded
-  std::vector<std::size_t> index_;        ///< cell positions 0, N, 2N, ...
-
-  // ---- encoded mode -----------------------------------------------------
-  bool encoded_ = false;
   std::vector<EncodedBlock> blocks_;
   std::vector<Key> block_first_keys_;     ///< sparse index of the blocks
   std::size_t restart_interval_ = 16;

@@ -37,11 +37,7 @@ struct IteratorSetting {
 struct TableConfig {
   /// Minor compaction (memtable flush) threshold, in entries.
   std::size_t flush_entries = 100000;
-  /// Flat-layout major compaction trigger: full merge when a tablet
-  /// holds this many files (ignored while `compaction.leveled` is on).
-  std::size_t compaction_fanin = 10;
-  /// Leveled-compaction knobs: L0 trigger, per-level byte budgets, and
-  /// the leveled/flat layout switch.
+  /// Leveled-compaction knobs: L0 trigger and per-level byte budgets.
   CompactionConfig compaction;
   /// Hard ceiling on a tablet's file count when a background
   /// CompactionScheduler is attached: writers block (back-pressure)
@@ -54,8 +50,9 @@ struct TableConfig {
   /// combiner needs to see every version).
   bool versioning = true;
   int max_versions = 1;
-  /// Acceleration structures built into the table's RFiles (sparse seek
-  /// index stride, row Bloom filter sizing).
+  /// RFile block geometry and acceleration structures (block stride,
+  /// restart interval, compressor, row Bloom filter sizing, block
+  /// cache budget).
   RFileOptions rfile;
   /// Admission control for mixed read/write traffic (in-flight scan
   /// bound, per-session token buckets, queue-or-shed policy) plus the

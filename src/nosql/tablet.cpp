@@ -261,8 +261,7 @@ void Tablet::maybe_enqueue_major_locked() {
 std::optional<CompactionPick> Tablet::pick_locked() const {
   const auto v = versions_.current();
   const bool pressure = v->file_count() >= config_->max_tablet_files;
-  return pick_compaction(*v, config_->compaction, config_->compaction_fanin,
-                         pressure);
+  return pick_compaction(*v, config_->compaction, pressure);
 }
 
 void Tablet::run_background_minor() {
@@ -512,10 +511,10 @@ void Tablet::major_compact_locked() {
                                        config_->iterators);
   const std::size_t out_cells = cells.size();
   // The single output is bottommost by construction; park it at the
-  // deepest occupied level (L1 minimum when leveled) so L0 stays clear
-  // for fresh flushes.
+  // deepest occupied level (L1 minimum) so L0 stays clear for fresh
+  // flushes.
   std::size_t out_level = 0;
-  if (config_->compaction.leveled && config_->compaction.max_levels > 1) {
+  if (config_->compaction.max_levels > 1) {
     out_level = std::max<std::size_t>(
         1, v->levels.empty() ? 1 : v->levels.size() - 1);
     out_level = std::min(out_level, config_->compaction.max_levels - 1);

@@ -17,9 +17,6 @@
 // versions) drop only when the output is bottommost for its key range
 // AND nothing is frozen, i.e. the key can no longer exist anywhere
 // deeper; partial compactions keep them for scan-time resolution.
-// Setting TableConfig::compaction.leveled = false restores the flat
-// layout (everything in L0, full-merge majors at compaction_fanin) as
-// a baseline.
 //
 // Two compaction execution modes:
 //
@@ -183,7 +180,7 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// Delete markers are dropped (full-major compaction semantics)
   /// unless a live snapshot still observes them — then they ride along
   /// and a post-release compaction retires them. The output lands at
-  /// the deepest level (L1 minimum when leveled). An empty merge
+  /// the deepest level (L1 minimum). An empty merge
   /// result installs no file.
   void major_compact();
 
@@ -292,7 +289,7 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// the cache. False = a removed input vanished, edit rejected.
   bool apply_edit_locked(const VersionEdit& edit);
   /// Asks the picker for the next due compaction on the current
-  /// version (considers leveled/flat mode and back-pressure).
+  /// version (level fullness and back-pressure).
   std::optional<CompactionPick> pick_locked() const;
   /// Executes one picked compaction synchronously under the lock
   /// (inline mode and back-pressure relief).

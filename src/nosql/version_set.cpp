@@ -176,21 +176,8 @@ CompactionPick pick_push_down(const Version& v, std::size_t level) {
 
 std::optional<CompactionPick> pick_compaction(const Version& v,
                                               const CompactionConfig& cfg,
-                                              std::size_t flat_fanin,
                                               bool pressure) {
   const std::size_t l0 = v.levels.empty() ? 0 : v.levels[0].size();
-  if (!cfg.leveled) {
-    // Flat layout: every file lives in L0 and a "compaction" is the
-    // legacy full merge, triggered by fanin or back-pressure.
-    if (l0 < 2) return std::nullopt;
-    if (l0 < flat_fanin && !pressure) return std::nullopt;
-    CompactionPick p;
-    p.input_level = 0;
-    p.output_level = 0;
-    p.inputs = v.levels[0];
-    p.bottommost = v.file_count() == p.inputs.size();
-    return p;
-  }
   if (l0 >= cfg.level0_trigger && l0 >= 1) return pick_l0(v, cfg);
   for (std::size_t l = 1; l < v.levels.size(); ++l) {
     if (l + 1 >= cfg.max_levels) break;  // bottom level: nowhere to push

@@ -26,10 +26,6 @@ namespace graphulo::nosql {
 
 /// Leveled-compaction tuning knobs (per table).
 struct CompactionConfig {
-  /// Leveled layout. When false the tablet keeps the flat (everything
-  /// in L0) layout with full-merge majors at `compaction_fanin` — the
-  /// baseline the bench compares against.
-  bool leveled = true;
   /// L0 file count that triggers an L0 -> L1 compaction.
   std::size_t level0_trigger = 4;
   /// Deepest level (levels are 0..max_levels-1).
@@ -107,11 +103,11 @@ class VersionSet {
 };
 
 /// Chooses the next compaction for `v` under `cfg`, or nullopt when no
-/// level is over budget. `flat_fanin` / `pressure` carry the legacy
-/// flat-mode trigger (fanin) and the back-pressure ceiling state.
+/// level is over budget. `pressure` is the back-pressure ceiling state:
+/// when set, the picker shrinks the file count even if no size trigger
+/// is due.
 std::optional<CompactionPick> pick_compaction(const Version& v,
                                               const CompactionConfig& cfg,
-                                              std::size_t flat_fanin,
                                               bool pressure);
 
 }  // namespace graphulo::nosql

@@ -311,36 +311,57 @@ TEST(EncodedBlocks, LowerBoundMatchesReference) {
   }
 }
 
-/// An encoded RFile must be observationally identical to a plain one
-/// built from the same cells — full scans, random range seeks, block
-/// drains and bounded drains — across restart intervals, strides and
+/// The ceil-stride sampling rule RFile::sample_rows documents, applied
+/// to the sorted input directly.
+std::vector<std::string> reference_sample_rows(const std::vector<Cell>& cells,
+                                               std::size_t n) {
+  std::vector<std::string> rows;
+  const std::size_t stride = (cells.size() + n - 1) / n;
+  for (std::size_t i = 0; i < cells.size() && rows.size() < n; i += stride) {
+    if (rows.empty() || rows.back() != cells[i].key.row) {
+      rows.push_back(cells[i].key.row);
+    }
+  }
+  const std::string& last = cells.back().key.row;
+  if (rows.back() != last) {
+    if (rows.size() < n) {
+      rows.push_back(last);
+    } else {
+      rows.back() = last;
+    }
+  }
+  return rows;
+}
+
+/// An encoded RFile must be observationally identical to the sorted
+/// cells it was built from — full scans, random range seeks, block
+/// drains and bounded drains (against a VectorIterator over the input),
+/// lower_bound_pos (against std::lower_bound) and sample_rows (against
+/// the ceil-stride rule) — across restart intervals, strides and
 /// compressor settings.
 TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
   std::mt19937 rng(90210);
   for (int trial = 0; trial < 10; ++trial) {
     const auto cells = random_cells(rng, 40 + rng() % 150);
-    RFileOptions plain_opts;
-    plain_opts.index_stride = 1 + rng() % 64;
-    const auto plain = RFile::from_sorted(cells, plain_opts);
+    const auto sorted = std::make_shared<const std::vector<Cell>>(cells);
+    const std::size_t stride = 1 + rng() % 64;
     for (const auto compressor : {RFileCompressor::kNone, RFileCompressor::kLz}) {
       RFileOptions opts;
-      opts.prefix_encode = true;
-      opts.index_stride = plain_opts.index_stride;
+      opts.index_stride = stride;
       opts.restart_interval = 1 + rng() % 32;
       opts.compressor = compressor;
       const auto encoded = RFile::from_sorted(cells, opts);
-      ASSERT_TRUE(encoded->prefix_encoded());
       ASSERT_EQ(encoded->entry_count(), cells.size());
 
       // Full scan, cellwise and blockwise.
-      auto a = plain->iterator();
+      VectorIterator ref(sorted);
       auto b = encoded->iterator();
-      a->seek(Range::all());
+      ref.seek(Range::all());
       b->seek(Range::all());
-      expect_identical(drain_cellwise(*a), drain_cellwise(*b), "full scan");
-      a->seek(Range::all());
+      expect_identical(drain_cellwise(ref), drain_cellwise(*b), "full scan");
+      ref.seek(Range::all());
       b->seek(Range::all());
-      expect_identical(drain_blockwise(*a, rng), drain_blockwise(*b, rng),
+      expect_identical(drain_blockwise(ref, rng), drain_blockwise(*b, rng),
                        "full block scan");
 
       // Random range seeks + lower_bound_pos agreement.
@@ -350,19 +371,25 @@ TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
         const Range r = (s % 3 == 0) ? Range::exact_row(lo)
                         : (lo <= hi) ? Range::row_range(lo, hi)
                                      : Range::row_range(hi, lo);
-        a->seek(r);
+        ref.seek(r);
         b->seek(r);
-        expect_identical(drain_cellwise(*a), drain_cellwise(*b), "range seek");
-        EXPECT_EQ(plain->lower_bound_pos(min_key_for_row(lo)),
-                  encoded->lower_bound_pos(min_key_for_row(lo)));
+        expect_identical(drain_cellwise(ref), drain_cellwise(*b), "range seek");
+        const Key probe = min_key_for_row(lo);
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cells.begin(), cells.end(), probe,
+                             [](const Cell& c, const Key& k) {
+                               return c.key < k;
+                             }) -
+            cells.begin());
+        EXPECT_EQ(encoded->lower_bound_pos(probe), want);
       }
 
       // Bounded drain (next_block_until) mid-stream.
-      a->seek(Range::all());
+      ref.seek(Range::all());
       b->seek(Range::all());
       const Key bound = cells[cells.size() / 2].key;
       CellBlock ba, bb;
-      while (a->next_block_until(ba, 7, bound, true) > 0) {
+      while (ref.next_block_until(ba, 7, bound, true) > 0) {
       }
       while (b->next_block_until(bb, 7, bound, true) > 0) {
       }
@@ -370,13 +397,11 @@ TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
       for (std::size_t i = 0; i < ba.size(); ++i) {
         EXPECT_EQ(ba.begin()[i].key, bb.begin()[i].key);
       }
-      expect_identical(drain_cellwise(*a), drain_cellwise(*b),
+      expect_identical(drain_cellwise(ref), drain_cellwise(*b),
                        "post-bound remainder");
 
-      // sample_rows must agree (same stride arithmetic, different
-      // storage).
       for (const std::size_t n : {1u, 3u, 10u}) {
-        EXPECT_EQ(plain->sample_rows(n), encoded->sample_rows(n));
+        EXPECT_EQ(encoded->sample_rows(n), reference_sample_rows(cells, n));
       }
     }
   }
@@ -389,7 +414,6 @@ TEST(EncodedBlocks, DecodeThroughCacheChargesEncodedBytes) {
   std::mt19937 rng(60601);
   const auto cells = random_cells(rng, 400);
   RFileOptions opts;
-  opts.prefix_encode = true;
   opts.index_stride = 64;
   opts.compressor = RFileCompressor::kLz;
   const auto rf = RFile::from_sorted(cells, opts);
@@ -422,15 +446,17 @@ TEST(EncodedBlocks, DecodeThroughCacheChargesEncodedBytes) {
   expect_identical(first, second, "cached vs fresh scan");
 }
 
-/// A live table configured with prefix encoding reads identically to a
-/// plain-configured one through the whole Instance/Scanner stack.
+/// A table whose cells live in encoded RFiles (flushed mid-stream, with
+/// and without the LZ compressor) reads identically through the whole
+/// Instance/Scanner stack to the same workload held unflushed in the
+/// memtable.
 TEST(EncodedBlocks, ScannerAgreesWithPlainTableEndToEnd) {
-  auto run = [](bool encode, RFileCompressor comp) {
+  auto run = [](bool flush, RFileCompressor comp) {
     Instance db;
     db.create_table("t");
     auto& cfg = db.table_config("t");
     cfg.max_versions = 2;
-    cfg.rfile.prefix_encode = encode;
+    cfg.flush_entries = 1u << 20;  // only the explicit flushes below
     cfg.rfile.compressor = comp;
     cfg.rfile.index_stride = 32;
     cfg.rfile.cache_bytes = 1 << 20;
@@ -445,25 +471,27 @@ TEST(EncodedBlocks, ScannerAgreesWithPlainTableEndToEnd) {
               encode_double(double(rng() % 50)));
       }
       writer.add_mutation(std::move(m));
-      if (i % 83 == 0) {
+      if (flush && i % 83 == 0) {
         writer.flush();
         db.flush("t");
       }
     }
     writer.flush();
-    db.flush("t");
+    if (flush) db.flush("t");
+    const auto tablet = db.tablets_for_range("t", Range::all())[0].first;
+    EXPECT_EQ(tablet->stats().file_count > 0, flush);
     Scanner sc(db, "t");
     sc.set_batch_size(256);
     std::vector<Cell> out;
     sc.for_each([&](const Key& k, const Value& v) { out.push_back({k, v}); });
     return out;
   };
-  const auto plain = run(false, RFileCompressor::kNone);
+  const auto memtable = run(false, RFileCompressor::kNone);
   const auto packed = run(true, RFileCompressor::kNone);
   const auto packed_lz = run(true, RFileCompressor::kLz);
-  expect_identical(plain, packed, "plain vs prefix-encoded table");
-  expect_identical(plain, packed_lz, "plain vs prefix+lz table");
-  EXPECT_FALSE(plain.empty());
+  expect_identical(memtable, packed, "memtable vs prefix-encoded files");
+  expect_identical(memtable, packed_lz, "memtable vs prefix+lz files");
+  EXPECT_FALSE(memtable.empty());
 }
 
 }  // namespace

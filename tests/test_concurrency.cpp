@@ -95,7 +95,7 @@ TEST(Concurrency, CompactionsRaceWithScans) {
   Instance db;
   TableConfig cfg;
   cfg.flush_entries = 16;
-  cfg.compaction_fanin = 2;
+  cfg.compaction.level0_trigger = 2;
   db.create_table("t", std::move(cfg));
   for (int i = 0; i < 300; ++i) {
     Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));

@@ -163,52 +163,29 @@ std::vector<Cell> drain(const RFile& f) {
   return out;
 }
 
-/// RFL2 files written before the packed layout existed must still load
-/// — through the default reader AND when the options now ask for
-/// prefix encoding (the cells are re-encoded in memory on load). The
-/// plain-mode writer is byte-for-byte the pre-RFL3 writer, so a file
-/// it produces IS a legacy file.
-TEST(RFileFormat, Rfl2VersionDispatchRoundTrip) {
-  const auto cells = graph_cells(40, 6);
-  const auto plain = RFile::from_sorted(cells, {});
-  const auto path = temp_path("rfl2_compat.rf");
-  ASSERT_TRUE(plain->write_to(path));
+/// RFL3 is the only on-disk layout: a file carrying the retired RFL2
+/// magic is rejected like any other foreign file, even when the rest of
+/// it is a well-formed RFL3 body.
+TEST(RFileFormat, ReadRejectsRfl2Magic) {
+  const auto rf = RFile::from_sorted(graph_cells(40, 6));
+  const auto path = temp_path("rfl2_magic.rf");
+  ASSERT_TRUE(rf->write_to(path));
+  ASSERT_NE(RFile::read_from(path), nullptr);  // the pristine file loads
 
-  // Legacy magic on disk: "2LFR" little-endian (0x52464c32).
+  std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
-    char magic[4] = {};
-    ASSERT_TRUE(in.read(magic, 4));
-    EXPECT_EQ(std::string(magic, 4), "2LFR");
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
-
-  const auto reread = RFile::read_from(path, {});
-  ASSERT_NE(reread, nullptr);
-  EXPECT_FALSE(reread->prefix_encoded());
-  const auto ref = drain(*plain);
+  // On-disk magic is "3LFR" little-endian (0x52464c33); "2LFR" is RFL2.
+  ASSERT_EQ(bytes.substr(0, 4), "3LFR");
+  bytes[0] = '2';
   {
-    const auto got = drain(*reread);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].key, ref[i].key);
-      EXPECT_EQ(got[i].value, ref[i].value);
-    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-
-  RFileOptions encode_opts;
-  encode_opts.prefix_encode = true;
-  encode_opts.compressor = RFileCompressor::kLz;
-  const auto upgraded = RFile::read_from(path, encode_opts);
-  ASSERT_NE(upgraded, nullptr);
-  EXPECT_TRUE(upgraded->prefix_encoded());
-  {
-    const auto got = drain(*upgraded);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].key, ref[i].key);
-      EXPECT_EQ(got[i].value, ref[i].value);
-    }
-  }
+  EXPECT_EQ(RFile::read_from(path), nullptr);
   std::remove(path.c_str());
 }
 
@@ -216,16 +193,14 @@ TEST(RFileFormat, Rfl3RoundTripAcrossCompressors) {
   const auto cells = graph_cells(60, 5);
   for (const auto comp : {RFileCompressor::kNone, RFileCompressor::kLz}) {
     RFileOptions opts;
-    opts.prefix_encode = true;
     opts.index_stride = 48;
     opts.restart_interval = 8;
     opts.compressor = comp;
     const auto rf = RFile::from_sorted(cells, opts);
     const auto path = temp_path("rfl3_roundtrip.rf");
     ASSERT_TRUE(rf->write_to(path));
-    const auto reread = RFile::read_from(path, {});  // options don't matter
+    const auto reread = RFile::read_from(path);
     ASSERT_NE(reread, nullptr);
-    EXPECT_TRUE(reread->prefix_encoded());
     EXPECT_EQ(reread->entry_count(), cells.size());
     EXPECT_EQ(reread->block_stride(), rf->block_stride());
     EXPECT_EQ(reread->total_block_bytes(), rf->total_block_bytes());
@@ -251,7 +226,6 @@ TEST(RFileFormat, Rfl3RoundTripAcrossCompressors) {
 TEST(RFileFormat, Rfl3RejectsBitFlips) {
   const auto cells = graph_cells(50, 6);
   RFileOptions opts;
-  opts.prefix_encode = true;
   opts.index_stride = 32;
   opts.compressor = RFileCompressor::kLz;
   const auto rf = RFile::from_sorted(cells, opts);
@@ -280,7 +254,7 @@ TEST(RFileFormat, Rfl3RejectsBitFlips) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(damaged.data(), static_cast<std::streamsize>(damaged.size()));
     }
-    EXPECT_EQ(RFile::read_from(path, {}), nullptr)
+    EXPECT_EQ(RFile::read_from(path), nullptr)
         << "bit flip at offset " << off << " not detected";
   }
   // Truncation and trailing garbage are rejected too.
@@ -288,13 +262,13 @@ TEST(RFileFormat, Rfl3RejectsBitFlips) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 5));
   }
-  EXPECT_EQ(RFile::read_from(path, {}), nullptr) << "truncation not detected";
+  EXPECT_EQ(RFile::read_from(path), nullptr) << "truncation not detected";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.write("xx", 2);
   }
-  EXPECT_EQ(RFile::read_from(path, {}), nullptr)
+  EXPECT_EQ(RFile::read_from(path), nullptr)
       << "trailing garbage not detected";
   // The pristine bytes still load (the harness above really was the
   // only difference).
@@ -302,7 +276,7 @@ TEST(RFileFormat, Rfl3RejectsBitFlips) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_NE(RFile::read_from(path, {}), nullptr);
+  EXPECT_NE(RFile::read_from(path), nullptr);
   std::remove(path.c_str());
 }
 

@@ -162,12 +162,12 @@ TEST(LeveledVersionSet, L0NewestFirstAndSortedLevelsDisjoint) {
 // ---------------------------------------------------------------------------
 
 TEST(LeveledPicker, L0TriggerTakesAllL0PlusNextLevelOverlap) {
-  CompactionConfig cfg;  // leveled, trigger 4, max_levels 5
+  CompactionConfig cfg;  // trigger 4, max_levels 5
   Version v;
   v.levels = {{fm(4, 0, 4, "a", "f"), fm(3, 0, 3, "c", "k"),
                fm(2, 0, 2, "a", "d"), fm(1, 0, 1, "e", "m")},
               {fm(10, 1, 0, "a", "g"), fm(11, 1, 0, "x", "z")}};
-  const auto pick = pick_compaction(v, cfg, /*flat_fanin=*/10, false);
+  const auto pick = pick_compaction(v, cfg, false);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->input_level, 0u);
   EXPECT_EQ(pick->output_level, 1u);
@@ -186,14 +186,14 @@ TEST(LeveledPicker, BelowTriggerNoPickAndDeeperOverlapBlocksDrop) {
   Version small;
   small.levels = {{fm(1, 0, 1, "a", "b"), fm(2, 0, 2, "c", "d"),
                    fm(3, 0, 3, "e", "f")}};
-  EXPECT_FALSE(pick_compaction(small, cfg, 10, false).has_value());
+  EXPECT_FALSE(pick_compaction(small, cfg, false).has_value());
 
   Version deep;
   deep.levels = {{fm(4, 0, 4, "a", "f"), fm(3, 0, 3, "c", "k"),
                   fm(2, 0, 2, "a", "d"), fm(1, 0, 1, "e", "m")},
                  {},
                  {fm(20, 2, 0, "d", "h")}};  // L2 holds part of the span
-  const auto pick = pick_compaction(deep, cfg, 10, false);
+  const auto pick = pick_compaction(deep, cfg, false);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->output_level, 1u);
   EXPECT_FALSE(pick->bottommost);  // "d".."h" still lives at L2
@@ -209,27 +209,13 @@ TEST(LeveledPicker, OverBudgetLevelPushesVictimSliceDown) {
               {fm(10, 2, 0, "h", "k", 50), fm(11, 2, 0, "q", "z", 50)}};
   // L1 holds 170 bytes > 100: pick the largest L1 file (id 1, 90B)
   // plus its L2 overlap (none for [a,f]) and push it to L2.
-  const auto pick = pick_compaction(v, cfg, 10, false);
+  const auto pick = pick_compaction(v, cfg, false);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->input_level, 1u);
   EXPECT_EQ(pick->output_level, 2u);
   ASSERT_EQ(pick->inputs.size(), 1u);
   EXPECT_EQ(pick->inputs[0].file_id, 1u);
   EXPECT_TRUE(pick->bottommost);  // nothing deeper than L2
-}
-
-TEST(LeveledPicker, FlatModeUsesFaninAndFullMerge) {
-  CompactionConfig cfg;
-  cfg.leveled = false;
-  Version v;
-  v.levels = {{fm(1, 0, 1, "a", "b"), fm(2, 0, 2, "c", "d")}};
-  EXPECT_FALSE(pick_compaction(v, cfg, /*flat_fanin=*/3, false).has_value());
-  v.levels[0].insert(v.levels[0].begin(), fm(3, 0, 3, "e", "f"));
-  const auto pick = pick_compaction(v, cfg, 3, false);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->output_level, 0u);
-  EXPECT_EQ(pick->inputs.size(), 3u);
-  EXPECT_TRUE(pick->bottommost);  // full merge: every file participates
 }
 
 // ---------------------------------------------------------------------------
@@ -385,8 +371,8 @@ TEST(LeveledStore, SustainedIngestKeepsPerLevelInvariantsAndBoundsReadAmp) {
   }
   // Read amplification is bounded by the SHAPE, not the flush count: a
   // point read consults every L0 file but at most one file per sorted
-  // level. 70 flushes under the flat layout would mean up to
-  // max_tablet_files consulted; leveled keeps it at trigger + levels.
+  // level. 70 unmerged flushes would mean up to max_tablet_files
+  // consulted; leveling keeps it at trigger + levels.
   const std::size_t sorted_levels = v->levels.size() - 1;
   const std::size_t worst_point_read = v->levels[0].size() + sorted_levels;
   EXPECT_LE(v->levels[0].size(), cfg.compaction.level0_trigger);
@@ -723,31 +709,6 @@ TEST_F(LeveledFaultTest, WorkloadSurvivesManifestFaultsAndRecoversExactly) {
   EXPECT_TRUE(rec.checkpoint_loaded);
   EXPECT_EQ(value_map(recovered, "t"), model);
   EXPECT_EQ(value_map(recovered, "t"), value_map(db, "t"));
-}
-
-// ---------------------------------------------------------------------------
-// Flat-mode fallback stays available as the baseline
-// ---------------------------------------------------------------------------
-
-TEST(LeveledStore, FlatModeKeepsLegacyFaninBehavior) {
-  TableConfig cfg;
-  cfg.flush_entries = 4;
-  cfg.compaction.leveled = false;
-  cfg.compaction_fanin = 3;
-  Instance db(1);
-  db.create_table("t", cfg);
-  for (int i = 0; i < 40; ++i) {
-    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 3));
-    m.put("f", "q", "v" + std::to_string(i));
-    db.apply("t", m);
-  }
-  db.flush("t");
-  const auto tablet = db.tablets_for_range("t", Range::all())[0].first;
-  const auto v = tablet->version();
-  // Everything lives in L0; the fanin trigger kept the count below it.
-  EXPECT_EQ(v->levels.size(), 1u);
-  EXPECT_LE(v->levels[0].size(), 3u);
-  EXPECT_EQ(cells_of(db, "t").size(), 40u);
 }
 
 }  // namespace

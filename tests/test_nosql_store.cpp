@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "nosql/nosql.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -487,9 +488,17 @@ TEST(StoreModel, RandomWorkloadMatchesReferenceMap) {
   util::Xoshiro256 rng(2024);
   Instance db(3);
   TableConfig cfg;
-  cfg.flush_entries = 16;     // force frequent minor compactions
-  cfg.compaction_fanin = 3;   // and frequent major compactions
+  cfg.flush_entries = 16;              // force frequent minor compactions
+  cfg.compaction.level0_trigger = 2;   // and frequent major compactions
   db.create_table("t", std::move(cfg));
+  const auto majors = [] {
+    return obs::MetricsRegistry::global().snapshot().value(
+        "tablet.compaction.total");
+  };
+  const double majors_before = majors();
+  // Upper bound on the majors explicit compact() calls account for: at
+  // most one per tablet per call.
+  std::size_t explicit_majors = 0;
 
   std::map<CellId, std::string> model;
   const int kRows = 12, kQuals = 4;
@@ -525,6 +534,7 @@ TEST(StoreModel, RandomWorkloadMatchesReferenceMap) {
     if (dice < 0.2) {
       db.flush("t");
     } else if (dice < 0.3) {
+      explicit_majors += db.list_splits("t").size() + 1;
       db.compact("t");
     } else if (dice < 0.4 && db.list_splits("t").size() < 4) {
       db.add_splits("t", {"row" + util::zero_pad(rng.uniform_int(kRows), 2)});
@@ -542,6 +552,8 @@ TEST(StoreModel, RandomWorkloadMatchesReferenceMap) {
       ++i;
     }
   }
+  // The L0 trigger ran majors on its own, beyond the explicit ones.
+  EXPECT_GT(majors() - majors_before, static_cast<double>(explicit_majors));
 }
 
 }  // namespace

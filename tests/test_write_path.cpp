@@ -40,10 +40,13 @@ TEST(BlockCache, MissesInsertThenHit) {
   BlockCache cache(1 << 20, 1);
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  EXPECT_FALSE(cache.touch(1, 0, pin, 100));  // miss inserts
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));   // now resident
-  EXPECT_FALSE(cache.touch(1, 1, pin, 100));  // different block
-  EXPECT_FALSE(cache.touch(2, 0, pin, 100));  // different file
+  EXPECT_EQ(cache.find(1, 0), nullptr);  // miss does not insert
+  cache.insert(1, 0, pin, 100);
+  EXPECT_EQ(cache.find(1, 0), pin);      // now resident
+  EXPECT_EQ(cache.find(1, 1), nullptr);  // different block
+  EXPECT_EQ(cache.find(2, 0), nullptr);  // different file
+  cache.insert(1, 1, pin, 100);
+  cache.insert(2, 0, pin, 100);
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
@@ -56,12 +59,12 @@ TEST(BlockCache, EvictsLeastRecentlyUsedWithinBudget) {
   BlockCache cache(250, 1);  // room for two 100-byte blocks
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  cache.touch(1, 0, pin, 100);
-  cache.touch(1, 1, pin, 100);
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));  // block 0 now MRU
-  cache.touch(1, 2, pin, 100);               // evicts block 1 (LRU)
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));
-  EXPECT_FALSE(cache.touch(1, 1, pin, 100));  // was evicted
+  cache.insert(1, 0, pin, 100);
+  cache.insert(1, 1, pin, 100);
+  EXPECT_NE(cache.find(1, 0), nullptr);  // block 0 now MRU
+  cache.insert(1, 2, pin, 100);          // evicts block 1 (LRU)
+  EXPECT_NE(cache.find(1, 0), nullptr);
+  EXPECT_EQ(cache.find(1, 1), nullptr);  // was evicted
   const auto s = cache.stats();
   EXPECT_GE(s.evictions, 1u);
   EXPECT_LE(s.bytes, 300u);
@@ -74,8 +77,8 @@ TEST(BlockCache, OversizedBlockStillCachedAlone) {
   BlockCache cache(50, 1);
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  cache.touch(1, 0, pin, 400);
-  EXPECT_TRUE(cache.touch(1, 0, pin, 400));
+  cache.insert(1, 0, pin, 400);
+  EXPECT_NE(cache.find(1, 0), nullptr);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
@@ -84,15 +87,15 @@ TEST(BlockCache, EraseFileDropsOnlyThatFile) {
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
   for (std::uint64_t b = 0; b < 8; ++b) {
-    cache.touch(1, b, pin, 10);
-    cache.touch(2, b, pin, 10);
+    cache.insert(1, b, pin, 10);
+    cache.insert(2, b, pin, 10);
   }
   cache.erase_file(1);
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 8u);
   EXPECT_EQ(s.bytes, 80u);
-  EXPECT_FALSE(cache.touch(1, 0, pin, 10));  // gone
-  EXPECT_TRUE(cache.touch(2, 0, pin, 10));   // untouched
+  EXPECT_EQ(cache.find(1, 0), nullptr);  // gone
+  EXPECT_NE(cache.find(2, 0), nullptr);  // untouched
 }
 
 TEST(BlockCache, ScansPopulateAndHitThroughTablet) {
@@ -253,7 +256,7 @@ TEST(WalGroupCommit, IntervalModeSyncMakesEverythingDurable) {
 TEST(BackgroundCompaction, CountersAdvanceAndDataSurvives) {
   TableConfig cfg;
   cfg.flush_entries = 50;
-  cfg.compaction_fanin = 4;
+  cfg.compaction.level0_trigger = 2;
   Instance db(1);
   auto sched = std::make_shared<CompactionScheduler>(2);
   db.attach_compaction_scheduler(sched);
@@ -272,6 +275,7 @@ TEST(BackgroundCompaction, CountersAdvanceAndDataSurvives) {
   EXPECT_GT(s.compactions_completed, 0u);
   EXPECT_EQ(s.compactions_in_flight, 0u);
   EXPECT_GT(s.minor_compactions, 0u);
+  EXPECT_GT(s.major_compactions, 0u);
   const auto sstats = sched->stats();
   EXPECT_GT(sstats.queued, 0u);
   EXPECT_EQ(sstats.queued, sstats.completed);
@@ -312,7 +316,7 @@ TEST(BackgroundCompaction, RacingScansMatchQuiescedRunByteForByte) {
   Instance ref(1);
   TableConfig ref_cfg;
   ref_cfg.flush_entries = 100;
-  ref_cfg.compaction_fanin = 4;
+  ref_cfg.compaction.level0_trigger = 2;
   ref.create_table("t", ref_cfg);
   {
     auto writers = workload(ref);
@@ -332,7 +336,7 @@ TEST(BackgroundCompaction, RacingScansMatchQuiescedRunByteForByte) {
   db.attach_compaction_scheduler(sched);
   TableConfig cfg;
   cfg.flush_entries = 100;
-  cfg.compaction_fanin = 4;
+  cfg.compaction.level0_trigger = 2;
   cfg.rfile.cache_bytes = 64 * 1024;
   db.create_table("t", cfg);
   std::atomic<bool> stop{false};
@@ -360,6 +364,10 @@ TEST(BackgroundCompaction, RacingScansMatchQuiescedRunByteForByte) {
   stop.store(true, std::memory_order_release);
   scanner.join();
   db.quiesce_compactions();
+  // Background majors ran before the explicit one below.
+  EXPECT_GT(db.tablets_for_range("t", Range::all())[0].first->stats()
+                .major_compactions,
+            0u);
   db.compact("t");
   {
     Scanner scan(db, "t");
@@ -372,7 +380,7 @@ TEST(BackgroundCompaction, RacingScansMatchQuiescedRunByteForByte) {
 TEST(BackgroundCompaction, BackPressureBoundsFileCount) {
   TableConfig cfg;
   cfg.flush_entries = 20;
-  cfg.compaction_fanin = 4;
+  cfg.compaction.level0_trigger = 2;
   cfg.max_tablet_files = 6;
   Instance db(1);
   auto sched = std::make_shared<CompactionScheduler>(2);
@@ -387,6 +395,7 @@ TEST(BackgroundCompaction, BackPressureBoundsFileCount) {
   const auto s = db.tablets_for_range("t", Range::all())[0].first->stats();
   // Back-pressure + majors keep the file count at or under the ceiling.
   EXPECT_LE(s.file_count, cfg.max_tablet_files);
+  EXPECT_GT(s.major_compactions, 0u);
   Scanner scan(db, "t");
   EXPECT_EQ(scan.read_all().size(), 3000u);
 }
