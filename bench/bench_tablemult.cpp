@@ -1,7 +1,8 @@
 // The Graphulo premise (Sections I-A, IV): execute GraphBLAS kernels
 // inside the database. Compares server-side TableMult (row-aligned
-// merge join + combiner-summed writes, never materializing the result
-// client-side) against the client-side round trip (scan A and B out,
+// merge join, partial products pre-summed per partition, then
+// combiner-summed writes, never materializing the result client-side)
+// against the client-side round trip (scan A and B out,
 // SpGEMM locally, write C back), across matrix sizes and tablet counts;
 // sweeps the partitioned pipeline's worker count; ablates the
 // structural mask (unmasked multiply vs masked multiply vs fused
@@ -52,7 +53,8 @@ void load_adjacency(nosql::Instance& db, const std::string& table,
 
 std::string run_server_vs_client(bool smoke) {
   util::TablePrinter table({"n", "nnz(A)", "tablets", "server_ms",
-                            "client_ms", "partials", "nnz(C)", "agree"});
+                            "client_ms", "partials", "emitted", "nnz(C)",
+                            "agree"});
   std::string json = "[";
   bool first = true;
   for (int scale : smoke ? std::vector<int>{6, 7} : std::vector<int>{7, 8, 9}) {
@@ -75,6 +77,7 @@ std::string run_server_vs_client(bool smoke) {
                      util::TablePrinter::fmt(server_ms, 1),
                      util::TablePrinter::fmt(client_ms, 1),
                      std::to_string(server.partial_products),
+                     std::to_string(server.cells_emitted),
                      std::to_string(cs.nnz()), agree ? "yes" : "NO"});
       if (!first) json += ", ";
       first = false;
@@ -84,6 +87,7 @@ std::string run_server_vs_client(bool smoke) {
               ", \"server_ms\": " + util::TablePrinter::fmt(server_ms, 3) +
               ", \"client_ms\": " + util::TablePrinter::fmt(client_ms, 3) +
               ", \"partials\": " + std::to_string(server.partial_products) +
+              ", \"cells_emitted\": " + std::to_string(server.cells_emitted) +
               ", \"agree\": " + (agree ? "true" : "false") + "}";
     }
   }
@@ -99,8 +103,8 @@ std::string run_server_vs_client(bool smoke) {
 // speedup column is measured against the seed-equivalent baseline.
 std::string run_worker_sweep(bool smoke) {
   util::TablePrinter table({"workers", "partitions", "rows_joined",
-                            "partials", "ms", "partials/s", "speedup",
-                            "agree"});
+                            "partials", "emitted", "ms", "partials/s",
+                            "speedup", "agree"});
   const auto a = make_rmat(smoke ? 7 : 9);
   constexpr int kTablets = 4;
   nosql::Instance db(kTablets);
@@ -127,6 +131,7 @@ std::string run_worker_sweep(bool smoke) {
                    std::to_string(stats.partitions.size()),
                    std::to_string(stats.rows_joined),
                    std::to_string(stats.partial_products),
+                   std::to_string(stats.cells_emitted),
                    util::TablePrinter::fmt(stats.seconds * 1e3, 1),
                    util::TablePrinter::fmt(throughput / 1e6, 2) + "M",
                    util::TablePrinter::fmt(serial_seconds / stats.seconds, 2),
@@ -136,6 +141,7 @@ std::string run_worker_sweep(bool smoke) {
     json += "{\"workers\": " + std::to_string(workers) +
             ", \"partitions\": " + std::to_string(stats.partitions.size()) +
             ", \"partials\": " + std::to_string(stats.partial_products) +
+            ", \"cells_emitted\": " + std::to_string(stats.cells_emitted) +
             ", \"ms\": " + util::TablePrinter::fmt(stats.seconds * 1e3, 3) +
             ", \"partials_per_s\": " + std::to_string(throughput) +
             ", \"agree\": " + (agree ? "true" : "false") + "}";
@@ -145,8 +151,9 @@ std::string run_worker_sweep(bool smoke) {
 
   // Per-partition breakdown of one 4-worker run: where each worker's
   // time went, and how balanced the tablet-derived partitions are.
-  util::TablePrinter parts({"partition", "rows_joined", "partials", "seeks",
-                            "scan_ms", "emit_ms", "flush_ms", "total_ms"});
+  util::TablePrinter parts({"partition", "rows_joined", "partials",
+                            "emitted", "seeks", "scan_ms", "emit_ms",
+                            "flush_ms", "total_ms"});
   const auto stats =
       core::table_mult(db, "A", "A", "Cparts", {.num_workers = 4});
   for (std::size_t i = 0; i < stats.partitions.size(); ++i) {
@@ -156,6 +163,7 @@ std::string run_worker_sweep(bool smoke) {
     parts.add_row({"[" + lo + ", " + hi + ")",
                    std::to_string(part.rows_joined),
                    std::to_string(part.partial_products),
+                   std::to_string(part.cells_emitted),
                    std::to_string(part.seeks),
                    util::TablePrinter::fmt(part.scan_seconds * 1e3, 1),
                    util::TablePrinter::fmt(part.emit_seconds * 1e3, 1),

@@ -1,6 +1,7 @@
 #include "core/tablemult.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <future>
 #include <optional>
@@ -8,8 +9,10 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "assoc/table_io.hpp"
+#include "core/cell_accumulator.hpp"
 #include "core/table_scan.hpp"
 #include "nosql/batch_writer.hpp"
 #include "nosql/codec.hpp"
@@ -25,7 +28,6 @@
 namespace graphulo::core {
 
 using nosql::CombinerIterator;
-using nosql::encode_double;
 using nosql::decode_double;
 
 nosql::TableConfig sum_table_config() {
@@ -60,7 +62,13 @@ obs::Counter& tm_rows_joined() {
 obs::Counter& tm_partial_products() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "tablemult.partial_products.total",
-      "Partial products emitted by TableMult");
+      "Partial products computed by TableMult (surviving the mask)");
+  return c;
+}
+obs::Counter& tm_cells_emitted() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "tablemult.cells_emitted.total",
+      "Pre-combined cells TableMult partitions sent to the result table");
   return c;
 }
 obs::Counter& tm_partial_products_pruned() {
@@ -116,20 +124,210 @@ struct ReduceAcc {
   std::map<std::string, double> rows;  // filled only when per_row
 };
 
-/// One attempt at one partition of the row-aligned merge join: scans
-/// [range) of A and B (through the scan-time row/col filters), and for
-/// every shared row emits the mask-surviving partial products — through
-/// a private MutationSink into C, or, in fused-reduce mode (`reduce`
-/// not null), into the partition's local accumulator. Runs on a worker
+// A fold policy receives the join's surviving products: begin_row with
+// B(k, :)'s cells whose values decode, begin_a per A(k, i) cell,
+// fold(j, product) per product with j indexing those B cells, end_a
+// after the A cell, and finish once the join is over.
+
+/// Fused reduce: the partition's scalar sum and, with `per_row`, its
+/// per-output-row sums.
+class ReduceFold {
+ public:
+  ReduceFold(ReduceAcc& acc, bool per_row) : acc_(acc), per_row_(per_row) {}
+
+  void begin_row(const std::vector<const nosql::Cell*>& /*b*/) {}
+  void begin_a(const nosql::Cell& a) {
+    row_ = &a.key.qualifier;
+    row_sum_ = 0.0;
+  }
+  void fold(std::size_t /*j*/, double product) { row_sum_ += product; }
+  void end_a() {
+    acc_.total += row_sum_;
+    if (per_row_ && row_sum_ != 0.0) acc_.rows[*row_] += row_sum_;
+  }
+  void finish() {}
+
+ private:
+  ReduceAcc& acc_;
+  bool per_row_;
+  const std::string* row_ = nullptr;
+  double row_sum_ = 0.0;
+};
+
+/// Write mode: products pre-combine by output cell in the partition's
+/// CellAccumulator, which drains into the sink when the join ends, or
+/// earlier when its slot budget is full. The drained mutation stream is
+/// a deterministic function of the inputs; its first `skip` mutations
+/// (made durable by earlier attempts) are generated but not sent.
+class EmitFold {
+ public:
+  EmitFold(nosql::MutationSink& writer, std::size_t skip)
+      : writer_(writer), skip_(skip) {}
+
+  void begin_row(const std::vector<const nosql::Cell*>& b) {
+    b_ = &b;
+    intern_columns();
+  }
+  void begin_a(const nosql::Cell& a) {
+    a_ = &a;
+    row_ = acc_.row_id(a.key.qualifier, a.key.family);
+  }
+  void fold(std::size_t j, double product) {
+    if (acc_.add(row_, columns_[j], product)) return;
+    // Budget full: drain, then intern the current row's keys again —
+    // the drain cleared the dictionaries. The add then fits.
+    drain();
+    row_ = acc_.row_id(a_->key.qualifier, a_->key.family);
+    intern_columns();
+    acc_.add(row_, columns_[j], product);
+  }
+  void end_a() {}
+  void finish() { drain(); }
+
+  std::size_t cells_emitted() const noexcept { return cells_emitted_; }
+
+ private:
+  void intern_columns() {
+    columns_.clear();
+    for (const nosql::Cell* cb : *b_) {
+      columns_.push_back(acc_.column_id(cb->key.qualifier));
+    }
+  }
+  void drain() {
+    acc_.drain([this](nosql::Mutation m) {
+      cells_emitted_ += m.updates().size();
+      if (generated_++ >= skip_) writer_.add_mutation(std::move(m));
+    });
+  }
+
+  nosql::MutationSink& writer_;
+  const std::size_t skip_;
+  std::size_t generated_ = 0;  // mutations drained (skipped or sent)
+  std::size_t cells_emitted_ = 0;
+  CellAccumulator acc_;
+  // The joined row's B cells and current A cell, owned by merge_join
+  // and read only while that row is being folded.
+  const std::vector<const nosql::Cell*>* b_ = nullptr;
+  const nosql::Cell* a_ = nullptr;
+  std::uint32_t row_ = 0;
+  std::vector<std::uint32_t> columns_;  // ids of *b_, same order
+};
+
+/// The row-aligned merge join of one partition attempt: scans [range)
+/// of A and B (through the scan-time row/col filters) and, for every
+/// shared row k, hands each mask-surviving product A(k, i) (x) B(k, j)
+/// to `fold`. Counts into `stats`; throws PartitionTimeout once the
+/// attempt has run past options.partition_deadline. Runs on a worker
 /// thread; touches no shared state beyond the (thread-safe) data-plane
-/// scan/write entry points and the read-only MaskIndex.
+/// scan entry points and the read-only MaskIndex.
+template <class Fold>
+void merge_join(TableMultDataPlane::ReadView& view, const std::string& table_a,
+                const std::string& table_b, const TableMultOptions& options,
+                const MaskIndex* mask, const nosql::Range& range,
+                const util::Timer& total, Fold& fold,
+                TableMultPartitionStats& stats) {
+  const double deadline_s =
+      std::chrono::duration<double>(options.partition_deadline).count();
+  const bool complement = options.complement_mask;
+
+  // The view is one pinned cut: every worker and every retry sees the
+  // same inputs (live scans when isolation was disabled).
+  RowReader reader_a(view.open_scan(table_a, range), range);
+  RowReader reader_b(view.open_scan(table_b, range), range);
+  reader_a.set_cell_filter(options.row_filter);
+  reader_b.set_cell_filter(options.col_filter);
+
+  // With a filter installed a row can assemble empty; skip those so the
+  // join only ever sees rows that still hold cells.
+  const auto read_row = [](RowReader& reader, RowBlock& row) {
+    while (reader.has_next()) {
+      row = reader.next_row();
+      if (!row.cells.empty()) return true;
+    }
+    return false;
+  };
+
+  util::Timer phase;
+  RowBlock row_a, row_b;
+  std::vector<const nosql::Cell*> b_cells;  // B(k, :) cells that decode
+  std::vector<double> b_values;             // their values
+  bool have_a = read_row(reader_a, row_a);
+  bool have_b = read_row(reader_b, row_b);
+  stats.scan_seconds += phase.seconds();
+  while (have_a && have_b) {
+    util::fault::point(util::fault::sites::kTableMultWorker);
+    if (deadline_s > 0.0 && total.seconds() > deadline_s) {
+      throw PartitionTimeout("TableMult partition [" + stats.start_row +
+                             ", " + stats.end_row + ") exceeded its " +
+                             std::to_string(deadline_s) + "s deadline");
+    }
+    if (row_a.row < row_b.row) {
+      phase.reset();
+      reader_a.advance_to(row_b.row);
+      have_a = read_row(reader_a, row_a);
+      stats.scan_seconds += phase.seconds();
+      continue;
+    }
+    if (row_b.row < row_a.row) {
+      phase.reset();
+      reader_b.advance_to(row_a.row);
+      have_b = read_row(reader_b, row_b);
+      stats.scan_seconds += phase.seconds();
+      continue;
+    }
+    // Shared row k: the outer product of A(k, :) and B(k, :).
+    ++stats.rows_joined;
+    phase.reset();
+    b_cells.clear();
+    b_values.clear();
+    for (const auto& cb : row_b.cells) {
+      if (const auto bv = decode_double(cb.value)) {
+        b_cells.push_back(&cb);
+        b_values.push_back(*bv);
+      }
+    }
+    fold.begin_row(b_cells);
+    for (const auto& ca : row_a.cells) {
+      const auto av = decode_double(ca.value);
+      if (!av) continue;
+      fold.begin_a(ca);
+      for (std::size_t j = 0; j < b_cells.size(); ++j) {
+        if (mask && mask->contains(ca.key.qualifier,
+                                   b_cells[j]->key.qualifier) == complement) {
+          // Structural mask: the product is pruned before the fold — it
+          // never costs an accumulator slot, a mutation, a WAL record or
+          // a combiner fold.
+          ++stats.partial_products_pruned;
+          continue;
+        }
+        fold.fold(j, options.multiply(*av, b_values[j]));
+        ++stats.partial_products;
+      }
+      fold.end_a();
+    }
+    stats.emit_seconds += phase.seconds();
+    phase.reset();
+    have_a = read_row(reader_a, row_a);
+    have_b = read_row(reader_b, row_b);
+    stats.scan_seconds += phase.seconds();
+  }
+  phase.reset();
+  fold.finish();
+  stats.emit_seconds += phase.seconds();
+  stats.seeks = reader_a.seeks_performed() + reader_b.seeks_performed();
+}
+
+/// One attempt at one partition: the merge join folding into the
+/// partition's local accumulator — `reduce` in fused-reduce mode, else
+/// a CellAccumulator draining into a private MutationSink into C.
 ///
 /// Exactly-once across attempts (write mode): the mutation stream of a
 /// partition is a deterministic function of the (stable) inputs, mask
 /// and filters included, so a retry skips the first `durable` mutations
 /// — the prefix prior attempts applied — and on any failure `durable`
 /// is advanced past everything THIS attempt applied before the buffered
-/// remainder is abandoned. Sinks that dedup resent streams themselves
+/// remainder is abandoned. An attempt applies nothing before its
+/// accumulator first drains. Sinks that dedup resent streams themselves
 /// (`sink_exactly_once`, the remote writers) instead see the stream
 /// from its beginning on every attempt and skip server-side. Reduce
 /// mode has no durable state: a retry starts over on a fresh
@@ -151,118 +349,26 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
   TableMultPartitionStats stats;
   if (range.has_start) stats.start_row = range.start.row;
   if (range.has_end) stats.end_row = range.end.row;
-  const std::size_t skip = sink_exactly_once ? 0 : durable;
-  std::size_t generated = 0;  // mutations emitted (skipped or written)
-  const double deadline_s =
-      std::chrono::duration<double>(options.partition_deadline).count();
-  const bool complement = options.complement_mask;
 
-  try {
-    // The view is one pinned cut: every worker and every retry sees
-    // the same inputs (live scans when isolation was disabled).
-    RowReader reader_a(view.open_scan(table_a, range), range);
-    RowReader reader_b(view.open_scan(table_b, range), range);
-    reader_a.set_cell_filter(options.row_filter);
-    reader_b.set_cell_filter(options.col_filter);
-
-    // With a filter installed a row can assemble empty; skip those so
-    // the join only ever sees rows that still hold cells.
-    const auto read_row = [](RowReader& reader, RowBlock& row) {
-      while (reader.has_next()) {
-        row = reader.next_row();
-        if (!row.cells.empty()) return true;
-      }
-      return false;
-    };
-
-    util::Timer phase;
-    RowBlock row_a, row_b;
-    bool have_a = read_row(reader_a, row_a);
-    bool have_b = read_row(reader_b, row_b);
-    stats.scan_seconds += phase.seconds();
-    while (have_a && have_b) {
-      util::fault::point(util::fault::sites::kTableMultWorker);
-      if (deadline_s > 0.0 && total.seconds() > deadline_s) {
-        throw PartitionTimeout("TableMult partition [" + stats.start_row +
-                               ", " + stats.end_row + ") exceeded its " +
-                               std::to_string(deadline_s) + "s deadline");
-      }
-      if (row_a.row < row_b.row) {
-        phase.reset();
-        reader_a.advance_to(row_b.row);
-        have_a = read_row(reader_a, row_a);
-        stats.scan_seconds += phase.seconds();
-        continue;
-      }
-      if (row_b.row < row_a.row) {
-        phase.reset();
-        reader_b.advance_to(row_a.row);
-        have_b = read_row(reader_b, row_b);
-        stats.scan_seconds += phase.seconds();
-        continue;
-      }
-      // Shared row k: emit the outer product of A(k, :) and B(k, :).
-      ++stats.rows_joined;
-      phase.reset();
-      for (const auto& ca : row_a.cells) {
-        const auto av = decode_double(ca.value);
-        if (!av) continue;
-        if (reduce) {
-          // Fused reduce: fold surviving products straight into the
-          // partition-local accumulator; no mutation is ever built.
-          double row_sum = 0.0;
-          for (const auto& cb : row_b.cells) {
-            const auto bv = decode_double(cb.value);
-            if (!bv) continue;
-            if (mask && mask->contains(ca.key.qualifier, cb.key.qualifier) ==
-                            complement) {
-              ++stats.partial_products_pruned;
-              continue;
-            }
-            row_sum += options.multiply(*av, *bv);
-            ++stats.partial_products;
-          }
-          reduce->total += row_sum;
-          if (per_row && row_sum != 0.0) {
-            reduce->rows[ca.key.qualifier] += row_sum;
-          }
-          continue;
-        }
-        // One mutation per output row C(i, :) chunk for this k.
-        nosql::Mutation m(ca.key.qualifier);  // i = A's column key
-        bool any = false;
-        for (const auto& cb : row_b.cells) {
-          const auto bv = decode_double(cb.value);
-          if (!bv) continue;
-          if (mask && mask->contains(ca.key.qualifier, cb.key.qualifier) ==
-                          complement) {
-            // Structural mask: the product is pruned here, before the
-            // BatchWriter — it never costs a mutation, a WAL record, or
-            // a combiner fold.
-            ++stats.partial_products_pruned;
-            continue;
-          }
-          m.put(ca.key.family, cb.key.qualifier,
-                encode_double(options.multiply(*av, *bv)));
-          any = true;
-          ++stats.partial_products;
-        }
-        if (any && generated++ >= skip) writer->add_mutation(std::move(m));
-      }
-      stats.emit_seconds += phase.seconds();
-      phase.reset();
-      have_a = read_row(reader_a, row_a);
-      have_b = read_row(reader_b, row_b);
-      stats.scan_seconds += phase.seconds();
-    }
-    phase.reset();
-    if (writer) writer->close();
-    stats.flush_seconds = phase.seconds();
-    stats.seeks = reader_a.seeks_performed() + reader_b.seeks_performed();
+  if (reduce) {
+    ReduceFold fold(*reduce, per_row);
+    merge_join(view, table_a, table_b, options, mask, range, total, fold,
+               stats);
     stats.seconds = total.seconds();
-    if (writer && !sink_exactly_once) {
-      durable = skip + writer->mutations_written();
-    }
+    return stats;
+  }
+
+  const std::size_t skip = sink_exactly_once ? 0 : durable;
+  try {
+    EmitFold fold(*writer, skip);
+    merge_join(view, table_a, table_b, options, mask, range, total, fold,
+               stats);
+    stats.cells_emitted = fold.cells_emitted();
+    util::Timer phase;
+    writer->close();
+    stats.flush_seconds = phase.seconds();
+    stats.seconds = total.seconds();
+    if (!sink_exactly_once) durable = skip + writer->mutations_written();
     return stats;
   } catch (...) {
     // Everything this attempt managed to apply is durable; the buffered
@@ -270,10 +376,8 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
     // it), so abandon the writer before propagating. Exactly-once sinks
     // keep durable at zero — the owning server, not this counter, skips
     // the applied prefix of the resent stream.
-    if (writer) {
-      if (!sink_exactly_once) durable = skip + writer->mutations_written();
-      writer->abandon();
-    }
+    if (!sink_exactly_once) durable = skip + writer->mutations_written();
+    writer->abandon();
     throw;
   }
 }
@@ -361,10 +465,11 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   }
   // Setup is retry-safe: ensure_table re-checks existence, and
   // partitioning is a read-only pass over A — both may hit transient
-  // (injected) faults that a second attempt clears.
+  // (injected) faults that a second attempt clears. C is always a sum
+  // table: the partitions pre-combine with the same (+).
   if (!reduce_mode) {
     util::with_retries("TableMult: result table setup", retry, [&] {
-      plane.ensure_table(table_c, options.configure_result_table);
+      plane.ensure_table(table_c, /*sum_combiner=*/true);
     });
   }
 
@@ -445,6 +550,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     stats.rows_joined += p.rows_joined;
     stats.partial_products += p.partial_products;
     stats.partial_products_pruned += p.partial_products_pruned;
+    stats.cells_emitted += p.cells_emitted;
     stats.seeks += p.seeks;
     if (p.attempts > 1) ++stats.retried_partitions;
     if (p.timed_out) ++stats.timed_out_partitions;
@@ -460,6 +566,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   tm_partitions().inc(stats.partitions.size());
   tm_rows_joined().inc(stats.rows_joined);
   tm_partial_products().inc(stats.partial_products);
+  tm_cells_emitted().inc(stats.cells_emitted);
   tm_partial_products_pruned().inc(stats.partial_products_pruned);
   if (stats.timed_out_partitions > 0) {
     GRAPHULO_WARN << "TableMult: " << stats.timed_out_partitions << " of "

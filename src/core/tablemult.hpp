@@ -10,9 +10,18 @@
 // form is forced by the storage: tables are row-sorted, so the only
 // cheap join is over the shared ROW dimension k — a row-aligned merge
 // join of the two tables' sorted streams (the real Graphulo's
-// TwoTableIterator does exactly this). Partial products are written to
-// C through a BatchWriter; a (+)-combiner attached to C at scan and
-// compaction scope makes the table itself perform the reduction.
+// TwoTableIterator does exactly this). C is a sum table: a (+)-combiner
+// attached at scan and compaction scope makes the table itself perform
+// the reduction.
+//
+// Pre-combine (DESIGN.md §7): each partition folds its partial products
+// by output cell (i, j) in a partition-local (+)-accumulator of bounded
+// size (core/cell_accumulator.hpp, 2 MiB of slots) and sends the folded
+// cells through its BatchWriter in key order, one mutation per output
+// row, when the join ends or the accumulator fills. The write path thus
+// carries one cell per output cell per partition rather than one per
+// partial product; C's combiner folds what the partitions send. The
+// (x) is options.multiply; the (+) is always addition.
 //
 // Execution is a partitioned pipeline: the shared row dimension k is cut
 // into contiguous row ranges at the tablet split points of A (refined by
@@ -22,8 +31,7 @@
 // beyond the final flush barrier: distinct k-partitions contribute
 // disjoint partial-product SETS, and the (+)-combiner on C is
 // commutative and associative, so any interleaving of the concurrent
-// writes folds to the same table. (Callers configuring C manually must
-// likewise attach a commutative combiner, or run with num_workers = 1.)
+// writes folds to the same table.
 //
 // Failure recovery (see DESIGN.md §8): each partition is an
 // independently retryable unit. A transient failure — an injected
@@ -31,19 +39,21 @@
 // abandons the attempt's buffered writes and re-runs the partition on
 // fresh scans with a fresh writer, skipping the prefix of its
 // deterministic mutation stream that prior attempts already made
-// durable (exactly-once emission, so even non-idempotent combiners
-// fold correctly). An optional per-partition deadline turns a hung
-// partition into a warning + stats flag instead of a stall.
+// durable (exactly-once emission: the accumulator emits in key order,
+// so the stream, spills included, repeats exactly). An optional
+// per-partition deadline turns a hung partition into a warning + stats
+// flag instead of a stall.
 //
 // Masking and fusion (DESIGN.md §13): a structural mask table M gates
 // the output — partial products whose (row, qualifier) M does not name
-// are dropped inside the merge join, before they cost a mutation —
+// are dropped inside the merge join, before they reach the accumulator —
 // and scan-time row/column filters read derived views (strict upper /
 // lower triangles) of the inputs in place. table_mult_reduce() fuses
-// the final reduction: partial products fold into per-partition
-// accumulators and the call returns a scalar (or per-row vector)
-// without C ever existing. Together these make sum(L .* (L·U))
-// triangle counting a single pass that materializes nothing.
+// the final reduction: the same join folds partial products into a
+// per-partition scalar (or per-row) accumulator instead of the per-cell
+// one, and the call returns without C ever existing. Together these
+// make sum(L .* (L·U)) triangle counting a single pass that
+// materializes nothing.
 //
 // The client-side baseline (read A and B out, SpGEMM locally, write C
 // back) is provided for the bench_tablemult ablation.
@@ -64,13 +74,11 @@ namespace graphulo::core {
 
 /// Options for table_mult().
 struct TableMultOptions {
-  /// The (x) of the semiring; defaults to ordinary multiplication.
+  /// The (x) of the semiring; defaults to ordinary multiplication. The
+  /// (+) is always addition: partitions pre-sum their products, and C
+  /// is created as a sum table (sum_table_config) when missing.
   std::function<double(double, double)> multiply =
       [](double a, double b) { return a * b; };
-  /// Attach a summing combiner (+ of the plus-times semiring) to C at
-  /// all scopes if C does not exist yet. Set false when the caller
-  /// configured C manually (e.g. a min-combiner for tropical products).
-  bool configure_result_table = true;
   /// Compact C after the multiply so the partial products are physically
   /// collapsed (otherwise they collapse lazily at scan/compaction time).
   bool compact_result = false;
@@ -88,9 +96,11 @@ struct TableMultOptions {
   /// Wall-clock budget per partition attempt; zero = unlimited. A
   /// partition that exceeds it aborts cooperatively and is reported as
   /// timed out (a warning + TableMultStats::timed_out_partitions)
-  /// instead of stalling the whole multiply. C is then missing that
-  /// partition's contribution — callers opting into deadlines trade
-  /// completeness for bounded latency.
+  /// instead of stalling the whole multiply. C is then missing some or
+  /// all of that partition's contribution: the attempt may already have
+  /// applied part of its stream (an accumulator spill, a BatchWriter
+  /// auto-flush). Callers opting into deadlines trade completeness for
+  /// bounded latency.
   std::chrono::milliseconds partition_deadline{0};
   /// Read A and B through pinned MVCC snapshots (one per input table,
   /// opened before partitioning): every worker — and every retry — sees
@@ -136,11 +146,12 @@ struct TableMultPartitionStats {
   std::string start_row;              ///< partition range ["start", "end")
   std::string end_row;                ///< empty = unbounded on that side
   std::size_t rows_joined = 0;        ///< shared row keys in this range
-  std::size_t partial_products = 0;   ///< cells written by this worker
+  std::size_t partial_products = 0;   ///< products computed (survived the mask)
   std::size_t partial_products_pruned = 0;  ///< dropped by the mask
+  std::size_t cells_emitted = 0;      ///< pre-combined cells sent to C
   std::size_t seeks = 0;              ///< advance_to() seeks on A + B
   double scan_seconds = 0.0;          ///< reading/aligning the two streams
-  double emit_seconds = 0.0;          ///< building + buffering mutations
+  double emit_seconds = 0.0;          ///< folding plus emission
   double flush_seconds = 0.0;         ///< final BatchWriter flush
   double seconds = 0.0;               ///< wall time of the whole partition
   std::size_t attempts = 1;           ///< 1 = no retries were needed
@@ -151,8 +162,9 @@ struct TableMultPartitionStats {
 /// `partitions`, aggregated at join time.
 struct TableMultStats {
   std::size_t rows_joined = 0;        ///< shared row keys of A and B
-  std::size_t partial_products = 0;   ///< cells written to C (or reduced)
+  std::size_t partial_products = 0;   ///< products computed (survived the mask)
   std::size_t partial_products_pruned = 0;  ///< dropped by the mask
+  std::size_t cells_emitted = 0;      ///< pre-combined cells sent to C
   std::size_t seeks = 0;              ///< merge-join seeks on A + B
   double seconds = 0.0;               ///< wall time (partitions overlap)
   std::size_t retried_partitions = 0;   ///< partitions needing > 1 attempt
@@ -160,8 +172,9 @@ struct TableMultStats {
   std::vector<TableMultPartitionStats> partitions;
 };
 
-/// C += A^T * B, all three named tables of `db`. Creates C when missing
-/// (with a summing combiner per options). Returns run statistics.
+/// C += A^T * B, all three named tables of `db`. Creates C as a sum
+/// table (sum_table_config) when missing; an existing C must sum too.
+/// Returns run statistics.
 TableMultStats table_mult(nosql::Instance& db, const std::string& table_a,
                           const std::string& table_b,
                           const std::string& table_c,
@@ -190,13 +203,13 @@ struct TableMultReduceResult {
 };
 
 /// Fused reduce variant: runs the same masked/filtered partitioned
-/// merge join as table_mult(), but feeds each surviving partial product
-/// into a thread-local (+)-accumulator per partition instead of a
-/// BatchWriter, and folds the partition accumulators at the join
+/// merge join as table_mult(), but folds each surviving partial product
+/// into a scalar (or per-row) (+)-accumulator per partition instead of
+/// the per-cell one, and folds the partition accumulators at the join
 /// barrier. No result table is created, written, or compacted —
-/// `options.configure_result_table` and `options.compact_result` are
-/// ignored. The (+) is ordinary addition, matching the summing combiner
-/// table_mult() attaches to C; `options.multiply` is still the (x).
+/// `options.compact_result` is ignored. The (+) is ordinary addition,
+/// matching the summing combiner table_mult() attaches to C;
+/// `options.multiply` is still the (x).
 /// Retried partitions restart with a fresh accumulator (no durable
 /// state), so the exactly-once machinery is unnecessary here. This is
 /// the kernel shape of masked triangle counting: sum(L .* (L·U)) in one

@@ -3,11 +3,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "assoc/table_io.hpp"
+#include "core/cell_accumulator.hpp"
 #include "core/table_algos.hpp"
 #include "core/table_ops.hpp"
 #include "core/table_scan.hpp"
@@ -18,6 +23,7 @@
 #include "nosql/codec.hpp"
 #include "nosql/scanner.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace graphulo::core {
@@ -277,6 +283,11 @@ TEST(TableMult, MultithreadedMatchesClientSideOnRmat) {
     const auto client = read_cells(db, "Cc");
     EXPECT_GT(server.size(), 0u);
     EXPECT_EQ(server, client) << "tablets=" << tablets;
+    // Pre-combining: every output cell is sent at least once (by each
+    // partition that contributes to it), never more often than its
+    // partial products.
+    EXPECT_LE(stats.cells_emitted, stats.partial_products);
+    EXPECT_GE(stats.cells_emitted, server.size());
   }
 }
 
@@ -293,7 +304,94 @@ TEST(TableMult, WorkerCountDoesNotChangeResult) {
     const auto expected =
         la::spgemm<la::PlusTimes<double>>(la::transpose(a), a);
     EXPECT_EQ(read_matrix(db, "C", 25, 25), expected) << workers;
+    EXPECT_LE(stats.cells_emitted, stats.partial_products);
+    // One partition that never fills its accumulator sends each output
+    // cell exactly once.
+    if (workers == 1) {
+      EXPECT_EQ(stats.cells_emitted, static_cast<std::size_t>(expected.nnz()));
+    }
   }
+}
+
+TEST(TableMult, SpillingPartitionMatchesSpgemm) {
+  // One partition over RMAT scale 10: about 203K distinct output cells,
+  // more than one accumulator's slot budget holds, so it drains mid-join
+  // and C receives some cells more than once for the combiner to fold.
+  gen::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 6;
+  const auto a = gen::rmat_simple_adjacency(p);
+  nosql::Instance db;
+  assoc::write_matrix(db, "A", a);
+  const auto stats =
+      table_mult(db, "A", "A", "C", {.compact_result = true, .num_workers = 1});
+  const auto expected = la::spgemm<la::PlusTimes<double>>(la::transpose(a), a);
+  ASSERT_GT(static_cast<std::size_t>(expected.nnz()),
+            CellAccumulator::kMaxSlots);
+  EXPECT_GT(stats.cells_emitted, static_cast<std::size_t>(expected.nnz()));
+  EXPECT_LT(stats.cells_emitted, stats.partial_products);
+  EXPECT_EQ(read_matrix(db, "C", a.cols(), a.cols()), expected);
+}
+
+TEST(CellAccumulator, SpillsRunsInKeyOrderThatFoldLikeAMap) {
+  using CellKey = std::tuple<std::string, std::string, std::string>;
+  const std::vector<std::string> rows{"r3", "r1", "r4", "r0", "r2", "r5"};
+  const std::vector<std::string> families{"", "f"};
+  const std::vector<std::string> columns{"c2", "c0", "c4", "c1", "c3"};
+  util::Xoshiro256 rng(17);
+
+  std::map<CellKey, double> reference;
+  std::vector<std::vector<std::pair<CellKey, double>>> runs;
+  std::vector<std::string> run_rows;  // mutation rows of the current run
+  const auto drain = [&](CellAccumulator& acc) {
+    runs.emplace_back();
+    run_rows.clear();
+    acc.drain([&](nosql::Mutation m) {
+      run_rows.push_back(m.row());
+      for (const auto& u : m.updates()) {
+        const auto v = nosql::decode_double(u.value);
+        ASSERT_TRUE(v.has_value());
+        runs.back().push_back({{m.row(), u.family, u.qualifier}, *v});
+      }
+    });
+    // One mutation per output row: rows strictly increase within a run.
+    for (std::size_t i = 1; i < run_rows.size(); ++i) {
+      EXPECT_LT(run_rows[i - 1], run_rows[i]);
+    }
+  };
+
+  CellAccumulator acc(8);
+  for (int n = 0; n < 400; ++n) {
+    const auto& row = rows[rng.uniform_int(rows.size())];
+    const auto& family = families[rng.uniform_int(families.size())];
+    const auto& column = columns[rng.uniform_int(columns.size())];
+    const double value = static_cast<double>(1 + rng.uniform_int(5));
+    reference[{row, family, column}] += value;
+    if (!acc.add(acc.row_id(row, family), acc.column_id(column), value)) {
+      EXPECT_EQ(acc.size(), 6u);  // 3/4 of 8 slots
+      drain(acc);
+      EXPECT_EQ(acc.size(), 0u);
+      ASSERT_TRUE(
+          acc.add(acc.row_id(row, family), acc.column_id(column), value));
+    }
+  }
+  drain(acc);
+  EXPECT_EQ(acc.capacity(), 8u);  // never past the budget
+  ASSERT_GT(runs.size(), 2u);     // the budget forced early drains
+
+  std::map<CellKey, double> folded;
+  for (const auto& run : runs) {
+    EXPECT_LE(run.size(), 6u);
+    for (std::size_t i = 1; i < run.size(); ++i) {
+      EXPECT_LT(run[i - 1].first, run[i].first);  // key order, no repeats
+    }
+    for (const auto& [key, v] : run) folded[key] += v;
+  }
+  EXPECT_EQ(folded, reference);
+
+  // The default budget is allocated on demand, not up front.
+  EXPECT_LT(CellAccumulator().capacity(), CellAccumulator::kMaxSlots);
+  EXPECT_THROW(CellAccumulator(6), std::invalid_argument);
 }
 
 TEST(TableOps, ApplyRewritesValuesInPlace) {

@@ -485,23 +485,43 @@ TEST_F(FaultTest, TableMultRetriesFailedPartitionsExactlyOnce) {
   const auto expected = value_map(reference, "C");
   ASSERT_FALSE(expected.empty());
 
-  Instance db;
-  db.set_retry_policy(test_retry());
-  fill_mult_inputs(db, 32);
-  db.flush("A");  // exercise the RFile read path in the workers too
-  db.flush("B");
-  fault::FaultSpec spec;
-  spec.fire_on_hits = {3, 20, 35};
-  fault::arm(sites::kTableMultWorker, spec);
-  const auto stats = table_mult(db, "A", "B", "C", opt);
-  EXPECT_GE(fault::stats(sites::kTableMultWorker).fires, 1u);
-  EXPECT_GE(stats.retried_partitions, 1u);
-  EXPECT_EQ(stats.timed_out_partitions, 0u);
-  fault::reset();
+  // Two places an attempt fails. tablemult.worker fires inside the
+  // join, before the attempt's accumulator has emitted anything. The
+  // batch_writer.flush run is six fires in a row, one more than the
+  // writer's five attempts: the single partition's writer applies its
+  // first two drained mutations, then gives up on the third, so the
+  // retry must skip exactly that durable prefix.
+  struct Case {
+    const char* site;
+    std::vector<std::uint64_t> fire_on_hits;
+    std::size_t workers;
+  };
+  const Case cases[] = {
+      {sites::kTableMultWorker, {3, 20, 35}, 4},
+      {sites::kBatchWriterFlush, {3, 4, 5, 6, 7, 8}, 1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.site);
+    Instance db;
+    db.set_retry_policy(test_retry());
+    fill_mult_inputs(db, 32);
+    db.flush("A");  // exercise the RFile read path in the workers too
+    db.flush("B");
+    fault::FaultSpec spec;
+    spec.fire_on_hits = c.fire_on_hits;
+    fault::arm(c.site, spec);
+    TableMultOptions run = opt;
+    run.num_workers = c.workers;
+    const auto stats = table_mult(db, "A", "B", "C", run);
+    EXPECT_GE(fault::stats(c.site).fires, 1u);
+    EXPECT_GE(stats.retried_partitions, 1u);
+    EXPECT_EQ(stats.timed_out_partitions, 0u);
+    fault::reset();
 
-  // Despite abandoned attempts and resumed partitions, every partial
-  // product landed exactly once: the sums match the unfaulted run.
-  EXPECT_EQ(value_map(db, "C"), expected);
+    // Despite abandoned attempts and resumed partitions, every partial
+    // product landed exactly once: the sums match the unfaulted run.
+    EXPECT_EQ(value_map(db, "C"), expected);
+  }
 }
 
 TEST_F(FaultTest, PartitionDeadlineDegradesToWarningNotStall) {

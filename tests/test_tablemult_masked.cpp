@@ -214,10 +214,10 @@ TEST(MaskedTableMult, MultiWorkerMaskedPropertyOnRmat) {
 
     auto serial = options;
     serial.num_workers = 1;
-    table_mult(db, "A", "A", "Cserial", serial);
+    const auto serial_stats = table_mult(db, "A", "A", "Cserial", serial);
     auto parallel = options;
     parallel.num_workers = 4;
-    table_mult(db, "A", "A", "Cpar", parallel);
+    const auto parallel_stats = table_mult(db, "A", "A", "Cpar", parallel);
 
     const auto cs = read_matrix(db, "Cserial", a.cols(), a.cols());
     const auto cp = read_matrix(db, "Cpar", a.cols(), a.cols());
@@ -226,6 +226,15 @@ TEST(MaskedTableMult, MultiWorkerMaskedPropertyOnRmat) {
         la::transpose(u), u, la::tril(a));
     EXPECT_EQ(cs, oracle) << "seed " << seed;
     EXPECT_EQ(cp, oracle) << "seed " << seed;
+    // Pre-combining under mask and filters: one unspilled partition
+    // sends each surviving output cell once; more partitions may send a
+    // cell once each, never more often than its products.
+    EXPECT_EQ(serial_stats.cells_emitted,
+              static_cast<std::size_t>(oracle.nnz())) << "seed " << seed;
+    EXPECT_LE(parallel_stats.cells_emitted, parallel_stats.partial_products)
+        << "seed " << seed;
+    EXPECT_GE(parallel_stats.cells_emitted,
+              static_cast<std::size_t>(oracle.nnz())) << "seed " << seed;
 
     // The fused reduce of the same masked product is the triangle count.
     const auto reduced = table_mult_reduce(db, "A", "A", options);
