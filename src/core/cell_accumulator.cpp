@@ -43,8 +43,8 @@ std::size_t CellAccumulator::RowKeyHash::operator()(
               (h << 6) + (h >> 2));
 }
 
-CellAccumulator::CellAccumulator(std::size_t max_slots)
-    : max_slots_(max_slots) {
+CellAccumulator::CellAccumulator(Emit emit, std::size_t max_slots)
+    : emit_(std::move(emit)), max_slots_(max_slots) {
   if (max_slots < 4 || !std::has_single_bit(max_slots)) {
     throw std::invalid_argument(
         "CellAccumulator: max_slots must be a power of two >= 4");
@@ -76,7 +76,7 @@ std::uint32_t CellAccumulator::column_id(const std::string& column) {
   return id;
 }
 
-bool CellAccumulator::add(std::uint32_t row, std::uint32_t column,
+void CellAccumulator::add(std::uint32_t row, std::uint32_t column,
                           double value) {
   const std::uint64_t key = (std::uint64_t{row} << 32) | column;
   const std::size_t mask = slots_.size() - 1;
@@ -84,18 +84,20 @@ bool CellAccumulator::add(std::uint32_t row, std::uint32_t column,
   for (; slots_[i].key != kEmpty; i = (i + 1) & mask) {
     if (slots_[i].key == key) {
       slots_[i].value += value;
-      return true;
+      return;
     }
   }
   if (size_ >= load_limit()) {
-    if (slots_.size() >= max_slots_) return false;
-    grow();
+    if (slots_.size() < max_slots_) {
+      grow();
+    } else {
+      drain();
+    }
     i = home(key);
     while (slots_[i].key != kEmpty) i = (i + 1) & (slots_.size() - 1);
   }
   slots_[i] = Slot{key, value};
   ++size_;
-  return true;
 }
 
 void CellAccumulator::grow() {
@@ -111,14 +113,13 @@ void CellAccumulator::grow() {
   }
 }
 
-void CellAccumulator::drain(
-    const std::function<void(nosql::Mutation)>& emit) {
+void CellAccumulator::drain() {
   std::vector<std::uint32_t> row_order, row_rank, column_order, column_rank;
   rank_dictionary(rows_, row_order, row_rank);
   rank_dictionary(columns_, column_order, column_rank);
 
   // Move the held cells to the front of the table under rank keys and
-  // sort them there: no second buffer, and the table is cleared below.
+  // sort them there: no second buffer, and the table is emptied below.
   std::size_t n = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot s = slots_[i];
@@ -138,22 +139,14 @@ void CellAccumulator::drain(
     const std::string& column =
         *columns_[column_order[slots_[i].key & kColumnMask]];
     if (!mutation || mutation->row() != row) {
-      if (mutation) emit(std::move(*mutation));
+      if (mutation) emit_(std::move(*mutation));
       mutation.emplace(row);
     }
     mutation->put(family, column, nosql::encode_double(slots_[i].value));
   }
-  if (mutation) emit(std::move(*mutation));
-  clear();
-}
-
-void CellAccumulator::clear() {
+  if (mutation) emit_(std::move(*mutation));
   std::fill(slots_.begin(), slots_.end(), Slot{kEmpty, 0.0});
   size_ = 0;
-  rows_.clear();
-  columns_.clear();
-  row_ids_.clear();
-  column_ids_.clear();
 }
 
 }  // namespace graphulo::core

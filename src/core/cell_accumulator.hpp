@@ -14,16 +14,24 @@
 // output row (A's qualifier) together with its family; a column id
 // interns B's qualifier. Callers intern once per input cell per joined
 // row, so each product costs an integer hash and a double add. The
-// table starts small and doubles on demand up to its slot budget, which
-// bounds the memory of a partition whatever the size of the product;
-// a node-based hash map would cost several times the 16 bytes per cell.
+// table starts at 1,024 slots and doubles on demand up to its slot
+// budget, which bounds the memory of a partition whatever the size of
+// the product; a node-based hash map would cost several times the 16
+// bytes per cell. Starting small matters to small multiplies: with the
+// table allocated at full size, each partition pays for writing,
+// scanning and clearing 2 MiB, and the 15 TableMult sweeps of
+// table_pagerank on bench_tablemult's n = 64 input took twice as long
+// (DESIGN.md §7). The dictionaries live as long as the accumulator and
+// are bounded by the partition's distinct row and column keys, not by
+// the budget.
 //
-// Emission: drain() hands out every held cell in (row, family, column)
-// order — ranks of the sorted dictionaries, never hash order — as one
-// Mutation per output row, then clears the table and both dictionaries.
-// The emitted stream is therefore a deterministic function of the
-// sequence of add() calls, including where a full table forces an early
-// drain. TableMult's exactly-once resume depends on that.
+// Emission: drain() hands every held cell to the emit callback in
+// (row, family, column) order — ranks of the sorted dictionaries, never
+// hash order — as one Mutation per output row, then empties the table.
+// add() drains by itself when a new cell meets a full table. The
+// emitted stream is therefore a deterministic function of the sequence
+// of add() calls, including where a full table forces an early drain.
+// TableMult's exactly-once resume depends on that.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +47,8 @@ namespace graphulo::core {
 
 class CellAccumulator {
  public:
+  using Emit = std::function<void(nosql::Mutation)>;
+
   /// Slot budget of one TableMult partition: 2^17 slots of 16 bytes,
   /// 2 MiB. A partition with more distinct cells than the load limit
   /// allows drains early, so C receives some cells more than once (its
@@ -47,9 +57,9 @@ class CellAccumulator {
   /// the multiply (DESIGN.md §7).
   static constexpr std::size_t kMaxSlots = std::size_t{1} << 17;
 
-  /// `max_slots` caps the table; it must be a power of two >= 4. The
-  /// table starts at min(1024, max_slots) slots.
-  explicit CellAccumulator(std::size_t max_slots = kMaxSlots);
+  /// Every drained mutation goes to `emit`. `max_slots` caps the
+  /// table; it must be a power of two >= 4.
+  explicit CellAccumulator(Emit emit, std::size_t max_slots = kMaxSlots);
 
   /// Id of the output row (`row`, `family`): A's qualifier and family.
   std::uint32_t row_id(const std::string& row, const std::string& family);
@@ -57,24 +67,19 @@ class CellAccumulator {
   /// Id of the output column: B's qualifier.
   std::uint32_t column_id(const std::string& column);
 
-  /// Folds `value` into the cell (`row`, `column`), both ids interned
-  /// since the last drain. Returns false and folds nothing when the
-  /// cell is new and the table holds as many cells as its budget allows:
-  /// the caller drains, interns its ids again and repeats the add,
-  /// which then succeeds.
-  bool add(std::uint32_t row, std::uint32_t column, double value);
+  /// Folds `value` into the cell (`row`, `column`). When the cell is new
+  /// and the table holds as many cells as its load limit allows, the
+  /// table doubles, or, at `max_slots`, drains first; ids stay valid
+  /// across drains.
+  void add(std::uint32_t row, std::uint32_t column, double value);
 
   /// Cells held.
   std::size_t size() const noexcept { return size_; }
 
-  /// Slots currently allocated (grows to max_slots on demand).
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
   /// Emits every held cell in (row, family, column) order, one Mutation
-  /// per output row, then clears the table and both dictionaries, which
-  /// invalidates every id handed out before. If `emit` throws, the
+  /// per output row, then empties the table. If `emit` throws, the
   /// accumulator is left in an unspecified state and must be discarded.
-  void drain(const std::function<void(nosql::Mutation)>& emit);
+  void drain();
 
  private:
   struct Slot {
@@ -93,8 +98,8 @@ class CellAccumulator {
   std::size_t load_limit() const noexcept { return slots_.size() / 4 * 3; }
   std::size_t home(std::uint64_t key) const noexcept;
   void grow();
-  void clear();
 
+  Emit emit_;
   std::size_t max_slots_;
   unsigned shift_ = 0;  ///< 64 - log2(slots_.size()), for Fibonacci hashing
   std::vector<Slot> slots_;

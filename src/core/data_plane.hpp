@@ -74,9 +74,10 @@ class TableMultDataPlane {
 
   /// Creates `table` if missing. With `sum_combiner` it is configured
   /// as a TableMult result sink (versioning off, summing combiner at
-  /// every scope); otherwise default config. No-op when it exists.
-  /// TableMult always passes true: its partitions pre-sum, so C must
-  /// sum too.
+  /// every scope); otherwise default config. No-op when it exists,
+  /// except that with `sum_combiner` an existing table lacking the
+  /// summing combiner is an error. TableMult always passes true: its
+  /// partitions pre-sum, so C must sum too.
   virtual void ensure_table(const std::string& table, bool sum_combiner) = 0;
 
   /// Opens one consistent cut of `tables`. `snapshot_isolation` false

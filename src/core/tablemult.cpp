@@ -30,10 +30,14 @@ namespace graphulo::core {
 using nosql::CombinerIterator;
 using nosql::decode_double;
 
+namespace {
+constexpr const char* kSumCombinerName = "plus-combiner";
+}  // namespace
+
 nosql::TableConfig sum_table_config() {
   nosql::TableConfig cfg;
   cfg.versioning = false;  // the combiner must see every partial product
-  cfg.attach_iterator({10, "plus-combiner", nosql::kAllScopes,
+  cfg.attach_iterator({10, kSumCombinerName, nosql::kAllScopes,
                        [](nosql::IterPtr src) {
                          return std::make_unique<CombinerIterator>(
                              std::move(src), nosql::sum_double_reducer());
@@ -41,9 +45,24 @@ nosql::TableConfig sum_table_config() {
   return cfg;
 }
 
+bool is_sum_table_config(const nosql::TableConfig& cfg) {
+  return !cfg.versioning &&
+         std::any_of(cfg.iterators.begin(), cfg.iterators.end(),
+                     [](const nosql::IteratorSetting& it) {
+                       return it.name == kSumCombinerName &&
+                              it.scopes == nosql::kAllScopes;
+                     });
+}
+
 void create_sum_table(nosql::Instance& db, const std::string& table) {
-  if (db.table_exists(table)) return;
-  db.create_table(table, sum_table_config());
+  if (!db.table_exists(table)) {
+    db.create_table(table, sum_table_config());
+  } else if (!is_sum_table_config(db.table_config(table))) {
+    throw std::invalid_argument(
+        "table '" + table +
+        "' exists without the summing combiner of sum_table_config(); "
+        "TableMult pre-sums its products, so C must be a sum table");
+  }
 }
 
 namespace {
@@ -162,55 +181,38 @@ class ReduceFold {
 class EmitFold {
  public:
   EmitFold(nosql::MutationSink& writer, std::size_t skip)
-      : writer_(writer), skip_(skip) {}
+      : writer_(writer),
+        skip_(skip),
+        acc_([this](nosql::Mutation m) {
+          cells_emitted_ += m.updates().size();
+          if (generated_++ >= skip_) writer_.add_mutation(std::move(m));
+        }) {}
 
   void begin_row(const std::vector<const nosql::Cell*>& b) {
-    b_ = &b;
-    intern_columns();
+    columns_.clear();
+    for (const nosql::Cell* cb : b) {
+      columns_.push_back(acc_.column_id(cb->key.qualifier));
+    }
   }
   void begin_a(const nosql::Cell& a) {
-    a_ = &a;
     row_ = acc_.row_id(a.key.qualifier, a.key.family);
   }
   void fold(std::size_t j, double product) {
-    if (acc_.add(row_, columns_[j], product)) return;
-    // Budget full: drain, then intern the current row's keys again —
-    // the drain cleared the dictionaries. The add then fits.
-    drain();
-    row_ = acc_.row_id(a_->key.qualifier, a_->key.family);
-    intern_columns();
     acc_.add(row_, columns_[j], product);
   }
   void end_a() {}
-  void finish() { drain(); }
+  void finish() { acc_.drain(); }
 
   std::size_t cells_emitted() const noexcept { return cells_emitted_; }
 
  private:
-  void intern_columns() {
-    columns_.clear();
-    for (const nosql::Cell* cb : *b_) {
-      columns_.push_back(acc_.column_id(cb->key.qualifier));
-    }
-  }
-  void drain() {
-    acc_.drain([this](nosql::Mutation m) {
-      cells_emitted_ += m.updates().size();
-      if (generated_++ >= skip_) writer_.add_mutation(std::move(m));
-    });
-  }
-
   nosql::MutationSink& writer_;
   const std::size_t skip_;
   std::size_t generated_ = 0;  // mutations drained (skipped or sent)
   std::size_t cells_emitted_ = 0;
   CellAccumulator acc_;
-  // The joined row's B cells and current A cell, owned by merge_join
-  // and read only while that row is being folded.
-  const std::vector<const nosql::Cell*>* b_ = nullptr;
-  const nosql::Cell* a_ = nullptr;
   std::uint32_t row_ = 0;
-  std::vector<std::uint32_t> columns_;  // ids of *b_, same order
+  std::vector<std::uint32_t> columns_;  // ids of the joined row's B cells
 };
 
 /// The row-aligned merge join of one partition attempt: scans [range)

@@ -173,8 +173,8 @@ struct TableMultStats {
 };
 
 /// C += A^T * B, all three named tables of `db`. Creates C as a sum
-/// table (sum_table_config) when missing; an existing C must sum too.
-/// Returns run statistics.
+/// table (sum_table_config) when missing; an existing C must be one,
+/// else std::invalid_argument. Returns run statistics.
 TableMultStats table_mult(nosql::Instance& db, const std::string& table_a,
                           const std::string& table_b,
                           const std::string& table_c,
@@ -244,8 +244,13 @@ TableMultStats client_side_mult(nosql::Instance& db, const std::string& table_a,
 /// create_sum_table uses — iterator settings are code, not data.
 nosql::TableConfig sum_table_config();
 
+/// Whether `cfg` is sum_table_config's: versioning off and its summing
+/// combiner attached at every scope.
+bool is_sum_table_config(const nosql::TableConfig& cfg);
+
 /// Creates `table` configured as a TableMult result sink (see
-/// sum_table_config). No-op if it already exists.
+/// sum_table_config). No-op if it already exists as one; throws
+/// std::invalid_argument if it exists with another config.
 void create_sum_table(nosql::Instance& db, const std::string& table);
 
 }  // namespace graphulo::core

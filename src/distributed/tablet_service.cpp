@@ -271,7 +271,14 @@ RpcServer::Response TabletService::handle_ensure_table(
   if (req.preset != "default" && req.preset != "sum") {
     throw nosql::wire::WireError("unknown table preset: " + req.preset);
   }
-  if (db_.table_exists(req.table)) return {Status::kOk, ""};
+  if (db_.table_exists(req.table)) {
+    if (req.preset == "sum" &&
+        !core::is_sum_table_config(db_.table_config(req.table))) {
+      return {Status::kBadRequest,
+              "table " + req.table + " exists without the sum combiner"};
+    }
+    return {Status::kOk, ""};
+  }
   try {
     if (req.preset == "sum") {
       db_.create_table(req.table, core::sum_table_config());

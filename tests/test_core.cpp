@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include "gen/rmat.hpp"
 #include "la/la.hpp"
 #include "nosql/codec.hpp"
+#include "nosql/combiner.hpp"
 #include "nosql/scanner.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -190,6 +192,25 @@ TEST(TableMult, AccumulatesIntoExistingResult) {
   EXPECT_EQ(read_matrix(db, "C", 6, 7), expected);
 }
 
+TEST(TableMult, RejectsExistingResultWithoutSumCombiner) {
+  // Partitions pre-sum with +, so a C folding with anything else (here
+  // a tropical min-combiner) would silently get wrong values.
+  nosql::Instance db;
+  auto a = random_sparse_int(8, 6, 0.4, 208);
+  write_matrix(db, "A", a);
+  nosql::TableConfig min_cfg;
+  min_cfg.versioning = false;
+  min_cfg.attach_iterator({10, "min-combiner", nosql::kAllScopes,
+                           [](nosql::IterPtr src) {
+                             return std::make_unique<nosql::CombinerIterator>(
+                                 std::move(src), nosql::min_double_reducer());
+                           }});
+  db.create_table("Cmin", min_cfg);
+  EXPECT_THROW(table_mult(db, "A", "A", "Cmin"), std::invalid_argument);
+  db.create_table("Cplain");
+  EXPECT_THROW(table_mult(db, "A", "A", "Cplain"), std::invalid_argument);
+}
+
 TEST(TableMult, CompactionCollapsesPartialProducts) {
   nosql::Instance db;
   auto a = random_sparse_int(10, 8, 0.5, 207);
@@ -342,42 +363,47 @@ TEST(CellAccumulator, SpillsRunsInKeyOrderThatFoldLikeAMap) {
 
   std::map<CellKey, double> reference;
   std::vector<std::vector<std::pair<CellKey, double>>> runs;
-  std::vector<std::string> run_rows;  // mutation rows of the current run
-  const auto drain = [&](CellAccumulator& acc) {
-    runs.emplace_back();
-    run_rows.clear();
-    acc.drain([&](nosql::Mutation m) {
-      run_rows.push_back(m.row());
-      for (const auto& u : m.updates()) {
-        const auto v = nosql::decode_double(u.value);
-        ASSERT_TRUE(v.has_value());
-        runs.back().push_back({{m.row(), u.family, u.qualifier}, *v});
-      }
-    });
+  std::vector<std::pair<CellKey, double>> emitted;  // the open run
+  std::vector<std::string> emitted_rows;            // its mutation rows
+  CellAccumulator acc(
+      [&](nosql::Mutation m) {
+        emitted_rows.push_back(m.row());
+        for (const auto& u : m.updates()) {
+          const auto v = nosql::decode_double(u.value);
+          ASSERT_TRUE(v.has_value());
+          emitted.push_back({{m.row(), u.family, u.qualifier}, *v});
+        }
+      },
+      8);
+  const auto close_run = [&] {
     // One mutation per output row: rows strictly increase within a run.
-    for (std::size_t i = 1; i < run_rows.size(); ++i) {
-      EXPECT_LT(run_rows[i - 1], run_rows[i]);
+    for (std::size_t i = 1; i < emitted_rows.size(); ++i) {
+      EXPECT_LT(emitted_rows[i - 1], emitted_rows[i]);
     }
+    runs.push_back(std::move(emitted));
+    emitted.clear();
+    emitted_rows.clear();
   };
 
-  CellAccumulator acc(8);
   for (int n = 0; n < 400; ++n) {
     const auto& row = rows[rng.uniform_int(rows.size())];
     const auto& family = families[rng.uniform_int(families.size())];
     const auto& column = columns[rng.uniform_int(columns.size())];
     const double value = static_cast<double>(1 + rng.uniform_int(5));
     reference[{row, family, column}] += value;
-    if (!acc.add(acc.row_id(row, family), acc.column_id(column), value)) {
-      EXPECT_EQ(acc.size(), 6u);  // 3/4 of 8 slots
-      drain(acc);
-      EXPECT_EQ(acc.size(), 0u);
-      ASSERT_TRUE(
-          acc.add(acc.row_id(row, family), acc.column_id(column), value));
+    const std::size_t held = acc.size();
+    acc.add(acc.row_id(row, family), acc.column_id(column), value);
+    if (!emitted.empty()) {
+      // A new cell met a full table: the add drained it first.
+      EXPECT_EQ(held, 6u);  // 3/4 of 8 slots
+      EXPECT_EQ(acc.size(), 1u);
+      close_run();
     }
   }
-  drain(acc);
-  EXPECT_EQ(acc.capacity(), 8u);  // never past the budget
-  ASSERT_GT(runs.size(), 2u);     // the budget forced early drains
+  acc.drain();
+  EXPECT_EQ(acc.size(), 0u);
+  close_run();
+  ASSERT_GT(runs.size(), 2u);  // the budget forced early drains
 
   std::map<CellKey, double> folded;
   for (const auto& run : runs) {
@@ -389,9 +415,8 @@ TEST(CellAccumulator, SpillsRunsInKeyOrderThatFoldLikeAMap) {
   }
   EXPECT_EQ(folded, reference);
 
-  // The default budget is allocated on demand, not up front.
-  EXPECT_LT(CellAccumulator().capacity(), CellAccumulator::kMaxSlots);
-  EXPECT_THROW(CellAccumulator(6), std::invalid_argument);
+  EXPECT_THROW(CellAccumulator([](nosql::Mutation) {}, 6),
+               std::invalid_argument);
 }
 
 TEST(TableOps, ApplyRewritesValuesInPlace) {

@@ -491,6 +491,9 @@ TEST(RpcEndToEnd, PingEchoesAndStatusReports) {
   cluster.ensure_table("A", /*sum_combiner=*/false);
   EXPECT_TRUE(cluster.table_exists("A"));
   EXPECT_FALSE(cluster.table_exists("absent"));
+  // The sum preset never silently accepts a table that does not sum.
+  EXPECT_THROW(cluster.ensure_table("A", /*sum_combiner=*/true),
+               rpc::RemoteError);
   const auto status = cluster.status(0);
   EXPECT_EQ(status.server_index, 0u);
   EXPECT_EQ(status.tables, std::vector<std::string>{"A"});
