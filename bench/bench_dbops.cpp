@@ -229,10 +229,10 @@ void run_ingest_sweep(std::size_t total_cells, std::size_t cache_bytes) {
 // ---- scan sweeps (BENCH_scan.json) --------------------------------------
 
 /// Block scan sweep: full-table scan throughput vs next_block() batch
-/// size. Size 1 is the legacy cell-at-a-time path (every cell pays the
-/// full virtual-dispatch chain through the stack); larger blocks
-/// amortize it via the run-length merge and bulk RFile copies. Returns
-/// the JSON object for the "block_sweep" key.
+/// size. Size 1 fills one cell per call (every cell pays the full
+/// virtual-dispatch chain through the stack); larger blocks amortize it
+/// via the run-length merge and bulk RFile copies. Returns the JSON
+/// object for the "block_sweep" key.
 std::string run_scan_block_sweep(std::size_t cells) {
   nosql::Instance db(1);
   nosql::TableConfig cfg;
@@ -277,7 +277,7 @@ std::string run_scan_block_sweep(std::size_t cells) {
             "}";
   }
   json += "]}";
-  table.print("Scan throughput vs block size (block 1 = cell-at-a-time)");
+  table.print("Scan throughput vs block size (block 1 = one cell per fill)");
   return json;
 }
 

@@ -577,9 +577,10 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
                   << (reduce_mode ? "the reduction" : table_c)
                   << " is missing their contributions";
   }
-  // Release the input pins before compacting C: when C aliases an input
-  // (in-place kernels), a live snapshot would hold the compaction's
-  // delete-marker/version GC hostage for no reason.
+  // Release the input pins before compacting C: an open snapshot keeps
+  // its cut's files and memtables in memory, and when C aliases an
+  // input (in-place kernels) the compaction would otherwise leave the
+  // files it retires alive beside its output.
   view.reset();
   if (!reduce_mode && options.compact_result) plane.compact(table_c);
   stats.seconds = timer.seconds();

@@ -74,10 +74,6 @@ struct AdmissionConfig {
   /// unlimited).
   double write_rate = 0.0;
   double write_burst = 1024.0;
-  /// MVCC snapshot handles older than this stop gating compaction and
-  /// fail subsequent scans with SnapshotExpired, so an abandoned handle
-  /// cannot stall delete-marker GC forever (0 = never expire).
-  std::chrono::milliseconds max_snapshot_age{0};
 };
 
 /// One client's token-bucket state (scan + write buckets). Sessions are

@@ -30,7 +30,6 @@ void Instance::create_table(const std::string& name, TableConfig config) {
                                          scheduler_.get());
   const int sid = next_server_;
   next_server_ = (next_server_ + 1) % static_cast<int>(servers_.size());
-  servers_[static_cast<std::size_t>(sid)]->host(tablet);
   table->tablets_.push_back(std::move(tablet));
   table->tablet_server_of_.push_back(sid);
   tables_.emplace(name, std::move(table));
@@ -44,14 +43,29 @@ void Instance::create_table(const std::string& name, TableConfig config) {
 }
 
 void Instance::delete_table(const std::string& name) {
-  std::unique_lock lock(catalog_mutex_);
-  if (!tables_.erase(name)) {
-    throw std::invalid_argument("delete_table: no such table: " + name);
+  std::unique_ptr<Table> dropped;
+  std::shared_ptr<CompactionScheduler> scheduler;
+  {
+    std::unique_lock lock(catalog_mutex_);
+    const auto it = tables_.find(name);
+    if (it == tables_.end()) {
+      throw std::invalid_argument("delete_table: no such table: " + name);
+    }
+    // Log-then-drop: a journal write that fails for good leaves the
+    // table in place, and nothing after the drop can throw.
+    if (wal_) {
+      util::with_retries("Instance::delete_table: journal", retry_policy_,
+                         [&] { wal_->log_delete_table(name); });
+    }
+    dropped = std::move(it->second);
+    tables_.erase(it);
+    scheduler = scheduler_;
   }
-  if (wal_) {
-    util::with_retries("Instance::delete_table: journal", retry_policy_,
-                       [&] { wal_->log_delete_table(name); });
-  }
+  // A queued background flush or compaction of one of the dropped
+  // tablets still reads the table's config and block cache: let every
+  // such task finish before the table is destroyed. Drained outside the
+  // catalog lock, so other tables keep serving meanwhile.
+  if (scheduler) scheduler->drain();
 }
 
 bool Instance::table_exists(const std::string& name) const {
@@ -78,7 +92,6 @@ void Instance::clone_table(const std::string& source,
     }
     const int sid = next_server_;
     next_server_ = (next_server_ + 1) % static_cast<int>(servers_.size());
-    servers_[static_cast<std::size_t>(sid)]->host(tablet);
     table->tablets_.push_back(std::move(tablet));
     table->tablet_server_of_.push_back(sid);
   }
@@ -164,7 +177,6 @@ void Instance::add_splits(const std::string& name,
                                            scheduler_.get());
     const int sid = next_server_;
     next_server_ = (next_server_ + 1) % static_cast<int>(servers_.size());
-    servers_[static_cast<std::size_t>(sid)]->host(tablet);
     tablets.push_back(std::move(tablet));
     server_of.push_back(sid);
   };

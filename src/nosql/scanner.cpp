@@ -63,20 +63,6 @@ std::size_t run_scan(SortedKVIterator& stack, const Range& range,
   TRACE_SPAN("scan.range");
   std::size_t delivered = 0;
   stack.seek(range);
-  if (batch <= 1) {
-    // Legacy cell-at-a-time path (and the block-size-1 bench baseline).
-    // The deadline is checked every kStride cells — a clock read per
-    // cell would dominate this path.
-    constexpr std::size_t kStride = 1024;
-    while (stack.has_top()) {
-      if (delivered % kStride == 0) check_deadline(deadline);
-      fn(stack.top_key(), stack.top_value());
-      ++delivered;
-      stack.next();
-    }
-    scan_cells().inc(delivered);
-    return delivered;
-  }
   CellBlock block;
   std::size_t blocks = 0;
   while (stack.has_top()) {

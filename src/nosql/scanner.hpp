@@ -46,8 +46,9 @@ class Scanner {
   /// Attaches a scan-time iterator (outermost last).
   Scanner& add_scan_iterator(ScanIterator stage);
 
-  /// Cells pulled per block from the server-side stack. 1 selects the
-  /// legacy cell-at-a-time path (the benchmark baseline).
+  /// Cells pulled per next_block() fill from the server-side stack
+  /// (0 is taken as 1); every size, 1 included, runs the same block
+  /// loop, which checks the deadline once per fill.
   Scanner& set_batch_size(std::size_t batch);
 
   /// Reads through a pinned MVCC snapshot (Instance::open_snapshot)
@@ -103,7 +104,8 @@ class BatchScanner {
   BatchScanner& set_authorizations(std::set<std::string> auths);
   BatchScanner& add_scan_iterator(ScanIterator stage);
 
-  /// Cells pulled per block from each tablet stack; 1 = cell-at-a-time.
+  /// Cells pulled per next_block() fill from each tablet stack (see
+  /// Scanner::set_batch_size).
   BatchScanner& set_batch_size(std::size_t batch);
 
   /// Reads every range through a pinned MVCC snapshot (see

@@ -1,5 +1,7 @@
 #include "nosql/snapshot.hpp"
 
+#include <atomic>
+
 #include "nosql/block_cache.hpp"
 #include "nosql/filter_iterators.hpp"
 #include "nosql/merge_iterator.hpp"
@@ -16,9 +18,21 @@ obs::Histogram& files_consulted_hist() {
       {0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128});
   return h;
 }
+obs::Gauge& snapshot_live_gauge() {
+  static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
+      "snapshot.live",
+      "Open MVCC tablet snapshot handles (each keeps its cut in memory)");
+  return g;
+}
+obs::Counter& snapshot_opened_total() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "snapshot.opened.total", "MVCC tablet snapshots opened");
+  return c;
+}
 
-}  // namespace
-
+/// Read-amplification probe for a scan stack: every LevelIterator file
+/// open bumps it; when the stack dies the total is observed into the
+/// scan.files_consulted histogram.
 std::shared_ptr<std::atomic<std::uint64_t>> make_consulted_probe() {
   return std::shared_ptr<std::atomic<std::uint64_t>>(
       new std::atomic<std::uint64_t>(0),
@@ -27,15 +41,6 @@ std::shared_ptr<std::atomic<std::uint64_t>> make_consulted_probe() {
             static_cast<double>(c->load(std::memory_order_relaxed)));
         delete c;
       });
-}
-
-IterPtr apply_scope_iterators(IterPtr source,
-                              const std::vector<IteratorSetting>& settings,
-                              unsigned scope) {
-  for (const auto& setting : settings) {
-    if (setting.scopes & scope) source = setting.factory(std::move(source));
-  }
-  return source;
 }
 
 IterPtr merge_pinned_sources(
@@ -79,40 +84,41 @@ IterPtr merge_pinned_sources(
   return std::make_unique<MergeIterator>(std::move(children));
 }
 
-TabletSnapshot::~TabletSnapshot() {
-  if (tablet_) tablet_->release_snapshot(id_);
+}  // namespace
+
+IterPtr apply_scope_iterators(IterPtr source,
+                              const std::vector<IteratorSetting>& settings,
+                              unsigned scope) {
+  for (const auto& setting : settings) {
+    if (setting.scopes & scope) source = setting.factory(std::move(source));
+  }
+  return source;
 }
 
-bool TabletSnapshot::expired() const {
-  if (expired_flag_ && expired_flag_->load(std::memory_order_acquire)) {
-    return true;
-  }
-  // Self-check against the captured age limit too: the tablet's sweep
-  // only runs on compaction/open activity, but an overdue handle must
-  // refuse reads regardless.
-  return max_age_.count() > 0 &&
-         std::chrono::steady_clock::now() - opened_ > max_age_;
-}
-
-IterPtr TabletSnapshot::scan_stack() const {
-  if (expired()) {
-    throw SnapshotExpired(
-        "snapshot expired (older than admission.max_snapshot_age); "
-        "pinned seq=" + std::to_string(seq_));
-  }
-  IterPtr stack = merge_pinned_sources(sources_, cache_,
-                                       make_consulted_probe());
+IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
+                   const TableConfig* config) {
+  if (!config) return merge_pinned_sources(sources, cache, nullptr);
+  IterPtr stack = merge_pinned_sources(sources, cache, make_consulted_probe());
   stack = std::make_unique<DeletingIterator>(std::move(stack));
-  if (versioning_) {
+  if (config->versioning) {
     stack = std::make_unique<VersioningIterator>(std::move(stack),
-                                                 max_versions_);
+                                                 config->max_versions);
   }
-  return apply_scope_iterators(std::move(stack), iterators_, kScanScope);
+  return apply_scope_iterators(std::move(stack), config->iterators,
+                               kScanScope);
 }
 
-IterPtr TabletSnapshot::raw_stack() const {
-  return merge_pinned_sources(sources_, cache_, nullptr);
+TabletSnapshot::TabletSnapshot(TabletExtent extent, PinnedSources sources,
+                               BlockCache* cache, TableConfig config)
+    : extent_(std::move(extent)),
+      sources_(std::move(sources)),
+      cache_(cache),
+      config_(std::move(config)) {
+  snapshot_live_gauge().add(1);
+  snapshot_opened_total().inc();
 }
+
+TabletSnapshot::~TabletSnapshot() { snapshot_live_gauge().add(-1); }
 
 std::vector<std::shared_ptr<TabletSnapshot>> Snapshot::tablets_for_range(
     const Range& range) const {
@@ -124,13 +130,6 @@ std::vector<std::shared_ptr<TabletSnapshot>> Snapshot::tablets_for_range(
     }
   }
   return out;
-}
-
-bool Snapshot::expired() const {
-  for (const auto& ts : tablets_) {
-    if (ts->expired()) return true;
-  }
-  return false;
 }
 
 }  // namespace graphulo::nosql

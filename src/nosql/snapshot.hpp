@@ -1,33 +1,26 @@
 #pragma once
 // MVCC snapshot scans: a snapshot handle pins one consistent cut of a
 // tablet — the memtable contents, frozen memtables, and immutable file
-// set as they stood at a single data sequence number — so a
-// long-running scan (or a TableMult partition worker) reads a stable
-// view while writers, flushes, and compactions proceed untouched.
+// set as they stood at one instant — so a long-running scan (or a
+// TableMult partition worker) reads a stable view while writers,
+// flushes, and compactions proceed untouched.
 //
 // The cut is STRUCTURAL, not filtered: open_snapshot() captures, under
 // the tablet lock, shared_ptrs to every immutable source (a memtable
-// snapshot, each frozen memtable's cell vector, the current Version).
-// Readers never consult live tablet state again, so consistency is
-// immediate — and retired RFiles stay alive for exactly as long as a
-// snapshot references them. No write, flush, or compaction ever blocks
-// on a reader.
+// snapshot, each frozen memtable's cell vector, the current Version)
+// plus the table config they are read with. Readers never consult live
+// tablet state again, so consistency is immediate, and nothing a
+// writer, flush, or compaction does can change what a handle returns:
+// compaction follows the delete-marker rule of DESIGN.md §11 alone and
+// never waits for, or holds back GC for, an open handle.
 //
-// Compaction horizon: each tablet registers its live snapshots (id,
-// pinned seq). Delete markers and version collapse are suppressed for a
-// compaction whose inputs a live snapshot could still observe (pinned
-// seq <= max input seq) — extending the bottommost-only drop rule of
-// DESIGN.md §11 — so the store's CURRENT file set also never loses a
-// cell a snapshot could see. TableConfig::admission.max_snapshot_age
-// bounds how long an abandoned handle may hold that horizon: expired
-// handles deregister (compaction proceeds) and subsequent scans through
-// them throw SnapshotExpired.
+// What an open handle costs is memory: it keeps its cut's RFiles and
+// frozen memtables alive, including ones a later compaction or flush
+// has retired, until the handle is destroyed. Close handles promptly;
+// distributed scan leases bound an abandoned one through their TTL.
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,15 +35,6 @@ namespace graphulo::nosql {
 
 class BlockCache;
 
-/// Scanning through a handle older than
-/// TableConfig::admission.max_snapshot_age: the handle no longer pins
-/// the compaction horizon, so reads through it are refused rather than
-/// silently served from a cut the store has moved past.
-class SnapshotExpired : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// The pinned immutable sources of one consistent per-tablet cut.
 struct PinnedSources {
   /// Active-memtable cells at pin time (null when it was empty).
@@ -62,20 +46,17 @@ struct PinnedSources {
   std::shared_ptr<const Version> version;
 };
 
-/// Merge over pinned sources, newest source first: memtable, then
-/// frozen memtables and L0 files interleaved by data seq, then one
-/// LevelIterator per sorted level. Shared by live tablet scans
-/// (Tablet::scan_stack) and snapshot scans — one definition of "the
-/// read view" for both. `consulted` (nullable) counts files actually
-/// opened.
-IterPtr merge_pinned_sources(
-    const PinnedSources& sources, BlockCache* cache,
-    std::shared_ptr<std::atomic<std::uint64_t>> consulted);
-
-/// Read-amplification probe for a scan stack: every LevelIterator file
-/// open bumps it; when the stack dies the total is observed into the
-/// scan.files_consulted histogram.
-std::shared_ptr<std::atomic<std::uint64_t>> make_consulted_probe();
+/// The read stack over pinned sources — the one definition of "the read
+/// view", shared by live tablet scans and snapshot scans. Merges newest
+/// source first: memtable, then frozen memtables and L0 files
+/// interleaved by data seq, then one seek-pruned LevelIterator per
+/// sorted level. With `config` the merge is resolved for reading:
+/// deletes -> versioning -> the config's scan-scope iterators, and the
+/// files actually opened are counted into the scan.files_consulted
+/// histogram when the stack dies. Without it (nullptr) the raw merge is
+/// returned, versions and delete markers included (diagnostics, split).
+IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
+                   const TableConfig* config);
 
 /// Wraps `source` with every iterator in `settings` matching `scope`,
 /// priority order (lowest first = closest to the data).
@@ -83,56 +64,36 @@ IterPtr apply_scope_iterators(IterPtr source,
                               const std::vector<IteratorSetting>& settings,
                               unsigned scope);
 
-/// One tablet's pinned cut. Obtained from Tablet::open_snapshot() (the
-/// tablet must be shared_ptr-owned); deregisters from the tablet's
-/// snapshot registry on destruction. Handles are immutable after open
-/// and safe to share across scan threads; each scan_stack() call builds
-/// a fresh independent stack.
+/// One tablet's pinned cut, from Tablet::open_snapshot(): a
+/// self-contained value holding the cut's sources and the table config
+/// captured with them, and no reference to the tablet. Immutable after
+/// open and safe to share across scan threads; each scan_stack() call
+/// builds a fresh independent stack. Open handles are counted by the
+/// snapshot.live gauge.
 class TabletSnapshot {
  public:
+  TabletSnapshot(TabletExtent extent, PinnedSources sources,
+                 BlockCache* cache, TableConfig config);
   ~TabletSnapshot();
   TabletSnapshot(const TabletSnapshot&) = delete;
   TabletSnapshot& operator=(const TabletSnapshot&) = delete;
 
   const TabletExtent& extent() const noexcept { return extent_; }
 
-  /// The pinned data sequence number: the tablet's next_data_seq at
-  /// open. Every source in the cut carries seq < this.
-  std::uint64_t seq() const noexcept { return seq_; }
-
-  /// True once max_snapshot_age has passed (or a compaction horizon
-  /// sweep expired the handle): the cut no longer gates compaction.
-  bool expired() const;
-
-  /// Full scan stack over the pinned cut: merge -> deletes ->
-  /// versioning -> scan-scope iterators, mirroring Tablet::scan_stack.
-  /// Throws SnapshotExpired once the handle has expired.
-  IterPtr scan_stack() const;
-
-  /// The pinned merge WITHOUT delete/versioning resolution
-  /// (diagnostics; mirrors Tablet::raw_stack).
-  IterPtr raw_stack() const;
+  /// Full scan stack over the pinned cut (read_stack with the captured
+  /// config).
+  IterPtr scan_stack() const {
+    return read_stack(sources_, cache_, &config_);
+  }
 
  private:
-  friend class Tablet;
-  TabletSnapshot() = default;
-
-  std::shared_ptr<Tablet> tablet_;  ///< keeps the registry owner alive
-  std::uint64_t id_ = 0;
-  std::uint64_t seq_ = 0;
   TabletExtent extent_;
   PinnedSources sources_;
-  BlockCache* cache_ = nullptr;
-  /// Config captured at open so the cut's read semantics are as stable
-  /// as its data (a later attach_iterator must not change what an open
+  BlockCache* cache_;
+  /// Captured at open so the cut's read semantics are as stable as its
+  /// data (a later attach_iterator must not change what an open
   /// snapshot returns).
-  bool versioning_ = true;
-  int max_versions_ = 1;
-  std::vector<IteratorSetting> iterators_;
-  std::chrono::steady_clock::time_point opened_;
-  std::chrono::milliseconds max_age_{0};
-  /// Set by the tablet's expiry sweep; also consulted by expired().
-  std::shared_ptr<std::atomic<bool>> expired_flag_;
+  TableConfig config_;
 };
 
 /// A whole-table snapshot: one pinned cut per tablet, captured in
@@ -155,9 +116,6 @@ class Snapshot {
   /// Tablet cuts whose extents intersect `range`, in extent order.
   std::vector<std::shared_ptr<TabletSnapshot>> tablets_for_range(
       const Range& range) const;
-
-  /// True when ANY tablet handle has expired (a partial cut is no cut).
-  bool expired() const;
 
  private:
   std::string table_;

@@ -55,8 +55,8 @@ struct TableConfig {
   /// cache budget).
   RFileOptions rfile;
   /// Admission control for mixed read/write traffic (in-flight scan
-  /// bound, per-session token buckets, queue-or-shed policy) plus the
-  /// MVCC max-snapshot-age horizon bound. Defaults admit everything.
+  /// bound, per-session token buckets, queue-or-shed policy). Defaults
+  /// admit everything.
   AdmissionConfig admission;
   /// Attached server-side iterators.
   std::vector<IteratorSetting> iterators;

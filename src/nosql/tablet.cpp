@@ -58,28 +58,6 @@ obs::Counter& relief_failure_total() {
       "Inline back-pressure reliefs that failed after bounded retries");
   return c;
 }
-obs::Gauge& snapshot_live_gauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
-      "snapshot.live", "Open MVCC snapshot handles pinning a tablet cut");
-  return g;
-}
-obs::Counter& snapshot_opened_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "snapshot.opened.total", "MVCC tablet snapshots opened");
-  return c;
-}
-obs::Counter& snapshot_expired_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "snapshot.expired.total",
-      "Abandoned snapshot handles expired by the max-snapshot-age sweep");
-  return c;
-}
-obs::Counter& gc_held_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "snapshot.gc_held.total",
-      "Compactions that kept delete markers/versions for a live snapshot");
-  return c;
-}
 
 /// Ceiling on frozen memtables per tablet before writers block: enough
 /// to ride out a slow flush, small enough to bound memory.
@@ -318,14 +296,10 @@ void Tablet::run_background_major() {
   }
   // Delete markers drop only when the output is bottommost for its key
   // range AND nothing newer is buffered (a frozen memtable may hold a
-  // write the markers must still suppress at scan time) AND no live
-  // snapshot can still observe the inputs — the MVCC horizon. Version
-  // collapse is held back by the horizon too: a snapshot's cut may
-  // include versions the current state would otherwise discard.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(pick->inputs));
-  const bool drop = pick->bottommost && frozen_.empty() && allow_gc;
+  // write the markers must still suppress at scan time).
+  const bool drop = pick->bottommost && frozen_.empty();
   const auto settings = config_->iterators;  // copied under the lock
-  const bool versioning = config_->versioning && allow_gc;
+  const bool versioning = config_->versioning;
   const int max_versions = config_->max_versions;
   const RFileOptions rfile_opts = config_->rfile;
   lock.unlock();
@@ -387,12 +361,9 @@ void Tablet::run_compaction_locked(const CompactionPick& pick) {
   TRACE_SPAN("tablet.compact");
   // Before any state change, like the flush site above.
   util::fault::point(util::fault::sites::kTabletCompact);
-  // Same GC gate as the background path: bottommost + nothing frozen +
-  // no live snapshot observing the inputs.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(pick.inputs));
-  const bool drop = pick.bottommost && frozen_.empty() && allow_gc;
-  auto cells = merge_compaction_inputs(pick.inputs, drop,
-                                       config_->versioning && allow_gc,
+  // Same drop rule as the background path: bottommost + nothing frozen.
+  const bool drop = pick.bottommost && frozen_.empty();
+  auto cells = merge_compaction_inputs(pick.inputs, drop, config_->versioning,
                                        config_->max_versions,
                                        config_->iterators);
   const std::size_t out_cells = cells.size();
@@ -500,13 +471,9 @@ void Tablet::major_compact_locked() {
   util::fault::point(util::fault::sites::kTabletCompact);
   const auto inputs = v->all_files();
   // Full major compaction: every file participates, so deletes resolve
-  // and drop, versions collapse, then majc-scope iterators run —
-  // unless a live snapshot still observes the inputs, in which case
-  // markers and versions ride along to the output and a later
-  // compaction (after the snapshot closes) retires them.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(inputs));
-  auto cells = merge_compaction_inputs(inputs, /*drop=*/allow_gc,
-                                       config_->versioning && allow_gc,
+  // and drop, versions collapse, then majc-scope iterators run.
+  auto cells = merge_compaction_inputs(inputs, /*drop=*/true,
+                                       config_->versioning,
                                        config_->max_versions,
                                        config_->iterators);
   const std::size_t out_cells = cells.size();
@@ -542,93 +509,20 @@ PinnedSources Tablet::pinned_sources_locked() const {
   return s;
 }
 
-IterPtr Tablet::merged_sources_locked(
-    std::shared_ptr<std::atomic<std::uint64_t>> consulted) const {
-  // Live scans and snapshot scans share one definition of the read
-  // view: a pinned-source merge (see snapshot.hpp).
-  return merge_pinned_sources(pinned_sources_locked(), cache_,
-                              std::move(consulted));
-}
-
-std::shared_ptr<TabletSnapshot> Tablet::open_snapshot() {
+std::shared_ptr<TabletSnapshot> Tablet::open_snapshot() const {
   std::lock_guard lock(mutex_);
-  expire_overdue_snapshots_locked();
-  auto snap = std::shared_ptr<TabletSnapshot>(new TabletSnapshot());
-  snap->tablet_ = shared_from_this();
-  snap->id_ = next_snapshot_id_++;
-  snap->seq_ = next_data_seq_;
-  snap->extent_ = extent_;
-  snap->sources_ = pinned_sources_locked();
-  snap->cache_ = cache_;
-  snap->versioning_ = config_->versioning;
-  snap->max_versions_ = config_->max_versions;
-  snap->iterators_ = config_->iterators;
-  snap->opened_ = std::chrono::steady_clock::now();
-  snap->max_age_ = config_->admission.max_snapshot_age;
-  snap->expired_flag_ = std::make_shared<std::atomic<bool>>(false);
-  live_snapshots_.push_back(
-      LiveSnapshot{snap->id_, snap->seq_, snap->opened_, snap->expired_flag_});
-  snapshot_live_gauge().add(1);
-  snapshot_opened_total().inc();
-  return snap;
-}
-
-void Tablet::release_snapshot(std::uint64_t id) noexcept {
-  std::lock_guard lock(mutex_);
-  const auto erased = std::erase_if(
-      live_snapshots_, [&](const LiveSnapshot& s) { return s.id == id; });
-  // Zero when the age sweep already expired this handle — the gauge was
-  // decremented then.
-  if (erased > 0) snapshot_live_gauge().add(-1);
-}
-
-void Tablet::expire_overdue_snapshots_locked() {
-  const auto age = config_->admission.max_snapshot_age;
-  if (age.count() <= 0 || live_snapshots_.empty()) return;
-  const auto cutoff = std::chrono::steady_clock::now() - age;
-  const auto erased =
-      std::erase_if(live_snapshots_, [&](const LiveSnapshot& s) {
-        if (s.opened > cutoff) return false;
-        s.expired->store(true, std::memory_order_release);
-        return true;
-      });
-  if (erased > 0) {
-    snapshots_expired_ += erased;
-    snapshot_expired_total().inc(erased);
-    snapshot_live_gauge().add(-static_cast<std::int64_t>(erased));
-  }
-}
-
-bool Tablet::horizon_allows_gc_locked(std::uint64_t max_input_seq) {
-  expire_overdue_snapshots_locked();
-  for (const LiveSnapshot& s : live_snapshots_) {
-    // A snapshot pinned at S observes every source sealed before it —
-    // all with seq < S. Inputs whose max seq reaches S therefore hold
-    // data (or markers shadowing data) inside some live cut: keep
-    // everything and let a later compaction retire it.
-    if (s.seq <= max_input_seq) {
-      gc_held_total().inc();
-      return false;
-    }
-  }
-  return true;
+  return std::make_shared<TabletSnapshot>(extent_, pinned_sources_locked(),
+                                          cache_, *config_);
 }
 
 IterPtr Tablet::scan_stack() const {
   std::lock_guard lock(mutex_);
-  IterPtr stack = merged_sources_locked(make_consulted_probe());
-  stack = std::make_unique<DeletingIterator>(std::move(stack));
-  if (config_->versioning) {
-    stack = std::make_unique<VersioningIterator>(std::move(stack),
-                                                 config_->max_versions);
-  }
-  return apply_scope_iterators(std::move(stack), config_->iterators,
-                               kScanScope);
+  return read_stack(pinned_sources_locked(), cache_, config_);
 }
 
 IterPtr Tablet::raw_stack() const {
   std::lock_guard lock(mutex_);
-  return merged_sources_locked(nullptr);
+  return read_stack(pinned_sources_locked(), cache_, nullptr);
 }
 
 std::shared_ptr<const Version> Tablet::version() const {
@@ -682,13 +576,6 @@ TabletStats Tablet::stats() const {
   s.major_compactions = major_compactions_;
   s.compactions_queued = bg_queued_;
   s.compactions_completed = bg_completed_;
-  s.live_snapshots = live_snapshots_.size();
-  for (const LiveSnapshot& snap : live_snapshots_) {
-    if (s.oldest_snapshot_seq == 0 || snap.seq < s.oldest_snapshot_seq) {
-      s.oldest_snapshot_seq = snap.seq;
-    }
-  }
-  s.snapshots_expired = snapshots_expired_;
   s.relief_runs = relief_runs_;
   s.relief_failures = relief_failures_;
   s.compactions_in_flight =

@@ -38,8 +38,6 @@
 // memtable and an L0 compaction that takes all current L0 files can
 // never interleave with a landing flush.
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -107,13 +105,6 @@ struct TabletStats {
   /// files and their blocks are proactively erased.
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  /// MVCC snapshot registry state: handles currently pinning this
-  /// tablet's compaction horizon, the oldest pinned seq among them
-  /// (0 when none), and how many handles have ever been expired by the
-  /// max-snapshot-age sweep.
-  std::size_t live_snapshots = 0;
-  std::uint64_t oldest_snapshot_seq = 0;
-  std::size_t snapshots_expired = 0;
   /// Inline back-pressure reliefs (flush+compact under the write lock
   /// because nothing could be queued) and reliefs that failed even
   /// after bounded retries.
@@ -177,35 +168,27 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
 
   /// Merges ALL files (flushing the memtable first) through the
   /// majc-scope iterator stack into a single file, synchronously.
-  /// Delete markers are dropped (full-major compaction semantics)
-  /// unless a live snapshot still observes them — then they ride along
-  /// and a post-release compaction retires them. The output lands at
-  /// the deepest level (L1 minimum). An empty merge
+  /// Delete markers are dropped (full-major compaction semantics). The
+  /// output lands at the deepest level (L1 minimum). An empty merge
   /// result installs no file.
   void major_compact();
 
-  /// Builds a scan stack over a consistent snapshot:
-  /// merge(memtable, frozen memtables, L0 files, one LevelIterator per
-  /// sorted level) -> deletes -> versioning -> scan-scope attached
-  /// iterators. Sorted levels are seek-pruned, so a point read
-  /// consults at most one file per level; files actually opened are
-  /// counted into the scan.files_consulted histogram when the stack is
-  /// destroyed. The caller may wrap further scan-time iterators around
-  /// the returned stack.
+  /// Builds a scan stack over the current cut: read_stack (see
+  /// snapshot.hpp) — merge -> deletes -> versioning -> scan-scope
+  /// attached iterators. Sorted levels are seek-pruned, so a point read
+  /// consults at most one file per level. The caller may wrap further
+  /// scan-time iterators around the returned stack.
   IterPtr scan_stack() const;
 
-  /// Snapshot of the raw merged data WITHOUT versioning/scan iterators
-  /// (diagnostics and split).
+  /// The current cut's raw merged data WITHOUT delete resolution,
+  /// versioning, or scan iterators (diagnostics and split).
   IterPtr raw_stack() const;
 
   /// Opens an MVCC snapshot: pins the current cut (memtable contents,
-  /// frozen memtables, file set) at the current data seq and registers
-  /// it so compactions keep every cell and delete marker the cut can
-  /// observe. Requires the tablet to be shared_ptr-owned (the handle
-  /// keeps it alive). Handles deregister on destruction; ones older
-  /// than TableConfig::admission.max_snapshot_age are expired instead
-  /// of stalling compaction. See snapshot.hpp.
-  std::shared_ptr<TabletSnapshot> open_snapshot();
+  /// frozen memtables, file set) together with the table config, in a
+  /// handle that reads nothing of the tablet afterwards. See
+  /// snapshot.hpp.
+  std::shared_ptr<TabletSnapshot> open_snapshot() const;
 
   /// Snapshot of the current leveled file set (cheap, lock-free reads
   /// afterwards). Checkpointing walks this to persist file metadata.
@@ -234,34 +217,16 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::vector<std::string> sample_split_rows(std::size_t n) const;
 
  private:
-  friend class TabletSnapshot;
-
   /// An immutable memtable snapshot awaiting flush, ordered by `seq`.
   struct FrozenMemtable {
     std::uint64_t seq = 0;
     std::shared_ptr<const std::vector<Cell>> cells;
   };
 
-  /// Registry record for one open snapshot handle. `expired` is shared
-  /// with the handle: the age sweep flips it and drops the record, so
-  /// compaction unblocks while the (abandoned) handle learns it is
-  /// dead on its next scan.
-  struct LiveSnapshot {
-    std::uint64_t id = 0;
-    std::uint64_t seq = 0;
-    std::chrono::steady_clock::time_point opened;
-    std::shared_ptr<std::atomic<bool>> expired;
-  };
-
   /// Captures the current cut's immutable sources (memtable snapshot,
   /// frozen list, current Version) — the open_snapshot payload and the
   /// basis of every scan stack.
   PinnedSources pinned_sources_locked() const;
-  /// Merge of every live source, newest first: memtable, frozen + L0
-  /// interleaved by seq, then one LevelIterator per sorted level.
-  /// `consulted` (nullable) counts files actually opened.
-  IterPtr merged_sources_locked(
-      std::shared_ptr<std::atomic<std::uint64_t>> consulted) const;
   /// Threshold flush/compact: inline (failure-contained) without a
   /// scheduler, freeze + enqueue with one.
   void maybe_compact_locked();
@@ -299,16 +264,6 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
   void run_background_minor();
   void run_background_major();
-  /// Deregisters a snapshot handle (no-op when the age sweep already
-  /// expired it).
-  void release_snapshot(std::uint64_t id) noexcept;
-  /// Expires registry records older than admission.max_snapshot_age.
-  void expire_overdue_snapshots_locked();
-  /// True when no live snapshot can observe cells from compaction
-  /// inputs with max seq `max_input_seq` — i.e. delete markers may
-  /// drop and versions may collapse. Sweeps overdue snapshots first,
-  /// so an abandoned handle delays GC at most max_snapshot_age.
-  bool horizon_allows_gc_locked(std::uint64_t max_input_seq);
 
   TabletExtent extent_;
   const TableConfig* config_;
@@ -328,10 +283,6 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::size_t major_compactions_ = 0;
   std::uint64_t bg_queued_ = 0;
   std::uint64_t bg_completed_ = 0;
-  /// MVCC snapshot registry (sorted by id = open order).
-  std::vector<LiveSnapshot> live_snapshots_;
-  std::uint64_t next_snapshot_id_ = 1;
-  std::uint64_t snapshots_expired_ = 0;
   std::size_t relief_runs_ = 0;
   std::size_t relief_failures_ = 0;
 };

@@ -1,8 +1,10 @@
 #pragma once
-// A logical tablet server: hosts tablets and tracks write/scan traffic.
-// In real Accumulo these are separate processes; here they are in-process
-// shards that give the batch scanner its parallelism domain and the
-// ingest benchmarks their scaling axis.
+// A logical tablet server: the write/scan traffic routed to the tablets
+// the Instance assigns it. In real Accumulo these are separate
+// processes; here they are in-process shards that give the batch
+// scanner its parallelism domain and the ingest benchmarks their
+// scaling axis. A server holds no reference to its tablets — the
+// owning Table does — so a split or dropped table frees them.
 //
 // Traffic counters live in the global MetricsRegistry (labeled per
 // server) rather than in hand-rolled atomics; ServerStats is a view
@@ -13,9 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "nosql/tablet.hpp"
 #include "obs/metrics.hpp"
@@ -57,27 +57,17 @@ class TabletServer {
 
   int id() const noexcept { return id_; }
 
-  /// Registers a tablet with this server (called by the Instance when
-  /// tables are created or split).
-  void host(std::shared_ptr<Tablet> tablet) {
-    hosted_.push_back(std::move(tablet));
-  }
-
-  /// Applies a mutation to a hosted tablet, updating traffic counters.
+  /// Applies a mutation to an assigned tablet, updating traffic counters.
   void apply(Tablet& tablet, const Mutation& mutation, Timestamp ts) {
     tablet.apply(mutation, ts);
     entries_written_.inc(mutation.updates().size());
     mutations_applied_.inc();
   }
 
-  /// Builds a scan stack for a hosted tablet, counting the scan.
+  /// Builds a scan stack for an assigned tablet, counting the scan.
   IterPtr scan(const Tablet& tablet) {
     scans_started_.inc();
     return tablet.scan_stack();
-  }
-
-  const std::vector<std::shared_ptr<Tablet>>& hosted() const noexcept {
-    return hosted_;
   }
 
   ServerStats stats() const {
@@ -89,7 +79,6 @@ class TabletServer {
  private:
   int id_;
   obs::Labels labels_;
-  std::vector<std::shared_ptr<Tablet>> hosted_;
   obs::Counter& entries_written_;
   obs::Counter& mutations_applied_;
   obs::Counter& scans_started_;

@@ -1,11 +1,14 @@
 // The asynchronous write path: WAL group commit (sync modes and
 // durability), the background flush/compaction scheduler (racing scans,
-// back-pressure, quiesce), and the RFile block cache (LRU semantics,
-// counters). Registered under the `concurrency` ctest label so the TSan
-// build exercises every cross-thread handoff here.
+// back-pressure, quiesce), the RFile block cache (LRU semantics,
+// counters), and table lifetime (what keeps a tablet alive). Registered
+// under the `concurrency` ctest label so the TSan build exercises every
+// cross-thread handoff here.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -485,6 +488,72 @@ TEST(FlushEarlyOut, MincStackDroppingEverythingInstallsNoFile) {
   tablet.flush();
   EXPECT_EQ(tablet.stats().file_count, 0u);
   EXPECT_EQ(tablet.stats().memtable_entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Table lifetime
+
+TEST(TableLifetime, DeleteTableWaitsForQueuedFlush) {
+  Instance db(1);
+  auto sched = std::make_shared<CompactionScheduler>(1);
+  db.attach_compaction_scheduler(sched);
+  // Hold the only worker, so the table's background flush stays queued
+  // until the gate opens.
+  std::promise<void> gate;
+  ASSERT_TRUE(sched->enqueue(
+      [opened = gate.get_future().share()] { opened.wait(); }));
+  TableConfig cfg;
+  cfg.flush_entries = 4;
+  db.create_table("t", cfg);
+  for (int i = 0; i < 8; ++i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 2));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+  ASSERT_EQ(db.tablets_for_range("t", Range::all())[0]
+                .first->stats()
+                .frozen_memtables,
+            2u);
+
+  std::atomic<bool> released{false};
+  std::jthread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released.store(true);
+    gate.set_value();
+  });
+  // The queued flush reads the table's config when it runs: the table
+  // may only be destroyed after it has.
+  db.delete_table("t");
+  EXPECT_TRUE(released.load())
+      << "delete_table returned while a flush of its tablet was queued";
+  releaser.join();
+  sched->drain();
+  EXPECT_FALSE(db.table_exists("t"));
+}
+
+TEST(TableLifetime, RetiredTabletsAreFreed) {
+  Instance db(2);
+  db.create_table("t");
+  for (int i = 0; i < 20; ++i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+  const std::weak_ptr<Tablet> presplit =
+      db.tablets_for_range("t", Range::all())[0].first;
+  // An open snapshot pins the cut's data, not the tablet it came from.
+  auto snap = db.open_snapshot("t");
+  db.add_splits("t", {"0010"});
+  EXPECT_TRUE(presplit.expired()) << "the pre-split tablet outlived add_splits";
+  Scanner pinned(db, "t");
+  pinned.set_snapshot(snap);
+  EXPECT_EQ(pinned.read_all().size(), 20u);
+  snap.reset();
+
+  const std::weak_ptr<Tablet> dropped =
+      db.tablets_for_range("t", Range::all())[0].first;
+  db.delete_table("t");
+  EXPECT_TRUE(dropped.expired()) << "a dropped table's tablet outlived it";
 }
 
 }  // namespace
