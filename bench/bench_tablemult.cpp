@@ -7,17 +7,25 @@
 // sweeps the partitioned pipeline's worker count; ablates the
 // structural mask (unmasked multiply vs masked multiply vs fused
 // masked reduce, DESIGN.md §13); and measures the in-database graph
-// algorithms (BFS / Jaccard / k-truss on tables). Expected shape: both
-// multiply paths produce identical tables, the masked paths prune
-// partial products before they cost a mutation, and the fused reduce
-// returns the same scalar without a result table. Emits
-// BENCH_tablemult.json; --smoke shrinks every sweep for CI.
+// algorithms (BFS / Jaccard / k-truss / PageRank on tables). Expected
+// shape: both multiply paths produce identical tables, the masked paths
+// prune partial products before they cost a mutation, and the fused
+// reduce returns the same scalar without a result table. Every leg
+// checks its result against an oracle and the bench exits nonzero if
+// any disagrees. Emits BENCH_tablemult.json; --smoke shrinks every
+// sweep for CI.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "algo/centrality.hpp"
+#include "algo/jaccard.hpp"
+#include "algo/ktruss.hpp"
+#include "algo/traversal.hpp"
 #include "assoc/table_io.hpp"
 #include "core/table_algos.hpp"
 #include "core/tablemult.hpp"
@@ -51,7 +59,7 @@ void load_adjacency(nosql::Instance& db, const std::string& table,
   }
 }
 
-std::string run_server_vs_client(bool smoke) {
+std::string run_server_vs_client(bool smoke, bool& all_agree) {
   util::TablePrinter table({"n", "nnz(A)", "tablets", "server_ms",
                             "client_ms", "partials", "emitted", "nnz(C)",
                             "agree"});
@@ -72,6 +80,7 @@ std::string run_server_vs_client(bool smoke) {
       const auto cs = assoc::read_matrix(db, "Cs", a.cols(), a.cols());
       const auto cc = assoc::read_matrix(db, "Cc", a.cols(), a.cols());
       const bool agree = cs == cc;
+      all_agree = all_agree && agree;
       table.add_row({std::to_string(a.rows()), std::to_string(a.nnz()),
                      std::to_string(tablets),
                      util::TablePrinter::fmt(server_ms, 1),
@@ -101,7 +110,7 @@ std::string run_server_vs_client(bool smoke) {
 // — the number the Graphulo follow-up papers benchmark. Single-worker
 // runs take the serial path (one all-rows partition, no pool), so the
 // speedup column is measured against the seed-equivalent baseline.
-std::string run_worker_sweep(bool smoke) {
+std::string run_worker_sweep(bool smoke, bool& all_agree) {
   util::TablePrinter table({"workers", "partitions", "rows_joined",
                             "partials", "emitted", "ms", "partials/s",
                             "speedup", "agree"});
@@ -127,6 +136,7 @@ std::string run_worker_sweep(bool smoke) {
             ? static_cast<double>(stats.partial_products) / stats.seconds
             : 0.0;
     const bool agree = c == serial_result;
+    all_agree = all_agree && agree;
     table.add_row({std::to_string(workers),
                    std::to_string(stats.partitions.size()),
                    std::to_string(stats.rows_joined),
@@ -180,7 +190,7 @@ std::string run_worker_sweep(bool smoke) {
 // BatchWriter; the fused reduce additionally never creates C. The
 // oracle is the unmasked table intersected with A's pattern client-side
 // (hadamard with the 0/1 adjacency).
-std::string run_masked_ablation(bool smoke) {
+std::string run_masked_ablation(bool smoke, bool& all_agree) {
   util::TablePrinter table({"mode", "partials", "pruned", "nnz(C)", "ms",
                             "agree"});
   const auto a = make_rmat(smoke ? 7 : 9);
@@ -210,6 +220,7 @@ std::string run_masked_ablation(bool smoke) {
   const double oracle_sum =
       la::reduce_all(oracle, [](double x, double y) { return x + y; });
   const bool reduce_agree = reduced.total == oracle_sum;
+  all_agree = all_agree && masked_agree && reduce_agree;
 
   table.add_row({"unmasked", std::to_string(unmasked.partial_products),
                  std::to_string(unmasked.partial_products_pruned),
@@ -247,42 +258,88 @@ std::string run_masked_ablation(bool smoke) {
   return json;
 }
 
-// In-database graph algorithms (the Graphulo library trio).
-void run_graph_algos(bool smoke) {
-  util::TablePrinter table({"algorithm", "n", "result", "time_ms"});
+// In-database graph algorithms (the Graphulo library trio plus
+// PageRank), each checked against its in-memory oracle after the timed
+// call: BFS levels against bfs_classic, k-truss against
+// ktruss_adjacency, Jaccard against triu(jaccard_linalg), PageRank
+// against the matrix power method on the vertices the table names.
+std::string run_graph_algos(bool smoke, bool& all_agree) {
+  util::TablePrinter table({"algorithm", "n", "result", "time_ms", "agree"});
   gen::RmatParams p;
   p.scale = smoke ? 6 : 8;
   p.edge_factor = 8;
   const auto a = gen::rmat_simple_adjacency(p);
   nosql::Instance db(2);
   assoc::write_matrix(db, "G", a);
+  const std::string n = std::to_string(a.rows());
+  std::string json = "[";
+  const auto add = [&](const std::string& algorithm, const std::string& text,
+                       double result, double ms, bool agree) {
+    table.add_row({algorithm, n, text, util::TablePrinter::fmt(ms, 1),
+                   agree ? "yes" : "NO"});
+    all_agree = all_agree && agree;
+    if (json.size() > 1) json += ", ";
+    json += "{\"algorithm\": \"" + algorithm + "\", \"n\": " + n +
+            ", \"result\": " + util::TablePrinter::fmt(result, 6) +
+            ", \"ms\": " + util::TablePrinter::fmt(ms, 3) +
+            ", \"agree\": " + (agree ? "true" : "false") + "}";
+  };
 
   util::Timer t;
   const auto levels = core::adj_bfs(db, "G", {assoc::vertex_key(0)}, 3);
-  table.add_row({"AdjBFS (3 hops)", std::to_string(a.rows()),
-                 std::to_string(levels.size()) + " reached",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  double ms = t.millis();
+  const auto bfs = algo::bfs_classic(a, 0);
+  bool agree = true;
+  std::size_t within = 0;
+  for (la::Index v = 0; v < a.rows(); ++v) {
+    const int level = bfs.level[static_cast<std::size_t>(v)];
+    if (level < 0 || level > 3) continue;
+    ++within;
+    const auto it = levels.find(assoc::vertex_key(v));
+    agree = agree && it != levels.end() && it->second == level;
+  }
+  agree = agree && levels.size() == within;
+  add("AdjBFS (3 hops)", std::to_string(levels.size()) + " reached",
+      static_cast<double>(levels.size()), ms, agree);
 
   t.reset();
   const auto pairs = core::table_jaccard(db, "G", "Gjac");
-  table.add_row({"Jaccard", std::to_string(a.rows()),
-                 std::to_string(pairs) + " pairs",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  ms = t.millis();
+  agree = assoc::read_matrix(db, "Gjac", a.rows(), a.cols()) ==
+          la::triu(algo::jaccard_linalg(a));
+  add("Jaccard", std::to_string(pairs) + " pairs",
+      static_cast<double>(pairs), ms, agree);
 
   t.reset();
   const auto truss_cells = core::table_ktruss(db, "G", 4, "Gtruss");
-  table.add_row({"kTruss (k=4)", std::to_string(a.rows()),
-                 std::to_string(truss_cells / 2) + " edges",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  ms = t.millis();
+  agree = assoc::read_matrix(db, "Gtruss", a.rows(), a.cols()) ==
+          la::pattern(algo::ktruss_adjacency(a, 4));
+  add("kTruss (k=4)", std::to_string(truss_cells / 2) + " edges",
+      static_cast<double>(truss_cells / 2), ms, agree);
 
   t.reset();
   const auto pr = core::table_pagerank(db, "G", 0.15, 15);
+  ms = t.millis();
+  // Isolated vertices are in no table: rank the induced subgraph.
+  std::vector<la::Index> universe;
+  for (la::Index v = 0; v < a.rows(); ++v) {
+    if (!a.row_cols(v).empty()) universe.push_back(v);
+  }
+  const auto oracle =
+      algo::pagerank(la::spref(a, universe, universe), 0.15,
+                     {.max_iterations = 15, .tolerance = 0.0});
+  agree = pr.size() == universe.size();
+  for (std::size_t i = 0; agree && i < universe.size(); ++i) {
+    const auto it = pr.find(assoc::vertex_key(universe[i]));
+    agree = it != pr.end() && std::abs(it->second - oracle.scores[i]) <= 1e-6;
+  }
   double top = 0;
   for (const auto& [key, s] : pr) top = std::max(top, s);
-  table.add_row({"PageRank (15 sweeps)", std::to_string(a.rows()),
-                 "top score " + util::TablePrinter::fmt(top, 4),
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  add("PageRank (15 sweeps)", "top score " + util::TablePrinter::fmt(top, 4),
+      top, ms, agree);
   table.print("Graph algorithms executed inside the database");
+  return json + "]";
 }
 
 }  // namespace
@@ -290,15 +347,19 @@ void run_graph_algos(bool smoke) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   graphulo::bench::MetricsDump metrics_dump(argc, argv);
-  const auto server_vs_client = run_server_vs_client(smoke);
-  const auto worker_sweep = run_worker_sweep(smoke);
-  const auto masked = run_masked_ablation(smoke);
-  run_graph_algos(smoke);
+  bool all_agree = true;
+  const auto server_vs_client = run_server_vs_client(smoke, all_agree);
+  const auto worker_sweep = run_worker_sweep(smoke, all_agree);
+  const auto masked = run_masked_ablation(smoke, all_agree);
+  const auto graph_algos = run_graph_algos(smoke, all_agree);
   std::ofstream("BENCH_tablemult.json")
       << "{\"bench\": \"tablemult\", \"smoke\": " << (smoke ? "true" : "false")
       << ", \"server_vs_client\": " << server_vs_client
       << ", \"worker_sweep\": " << worker_sweep
-      << ", \"masked_vs_unmasked\": " << masked << "}\n";
-  std::printf("wrote BENCH_tablemult.json\n");
-  return 0;
+      << ", \"masked_vs_unmasked\": " << masked
+      << ", \"graph_algos\": " << graph_algos
+      << ", \"all_agree\": " << (all_agree ? "true" : "false") << "}\n";
+  std::printf("wrote BENCH_tablemult.json: %s\n",
+              all_agree ? "every leg agrees with its oracle" : "DISAGREEMENT");
+  return all_agree ? 0 : 1;
 }

@@ -19,9 +19,9 @@
 // the product; a node-based hash map would cost several times the 16
 // bytes per cell. Starting small matters to small multiplies: with the
 // table allocated at full size, each partition pays for writing,
-// scanning and clearing 2 MiB, and the 15 TableMult sweeps of
-// table_pagerank on bench_tablemult's n = 64 input took twice as long
-// (DESIGN.md §7). The dictionaries live as long as the accumulator and
+// scanning and clearing 2 MiB, and the masked TableMult rounds of
+// table_ktruss (k = 4) on bench_tablemult's n = 64 smoke graph took
+// about 1.4 times as long (DESIGN.md §7). The dictionaries live as long as the accumulator and
 // are bounded by the partition's distinct row and column keys, not by
 // the budget.
 //

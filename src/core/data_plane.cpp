@@ -12,31 +12,25 @@ namespace graphulo::core {
 
 namespace {
 
-/// Live-or-snapshot read view over one Instance. With snapshot
-/// isolation each named table is pinned once at construction (aliases
-/// share the pin); without it open_scan reads the live table.
+/// Pinned read view over one Instance: each named table is pinned once
+/// at construction (aliases share the pin), so every scan through the
+/// view reads the same cut.
 class LocalReadView : public TableMultDataPlane::ReadView {
  public:
-  LocalReadView(nosql::Instance& db, const std::vector<std::string>& tables,
-                bool snapshot_isolation)
-      : db_(db) {
-    if (!snapshot_isolation) return;
+  LocalReadView(nosql::Instance& db, const std::vector<std::string>& tables) {
     for (const auto& table : tables) {
       if (snapshots_.count(table) == 0) {
-        snapshots_.emplace(table, db_.open_snapshot(table));
+        snapshots_.emplace(table, db.open_snapshot(table));
       }
     }
   }
 
   nosql::IterPtr open_scan(const std::string& table,
                            const nosql::Range& range) override {
-    const auto it = snapshots_.find(table);
-    if (it != snapshots_.end()) return open_table_scan(*it->second, range);
-    return open_table_scan(db_, table, range);
+    return open_table_scan(*snapshots_.at(table), range);
   }
 
  private:
-  nosql::Instance& db_;
   std::map<std::string, std::shared_ptr<const nosql::Snapshot>> snapshots_;
 };
 
@@ -73,8 +67,8 @@ void LocalDataPlane::ensure_table(const std::string& table,
 }
 
 std::unique_ptr<TableMultDataPlane::ReadView> LocalDataPlane::open_read_view(
-    const std::vector<std::string>& tables, bool snapshot_isolation) {
-  return std::make_unique<LocalReadView>(db_, tables, snapshot_isolation);
+    const std::vector<std::string>& tables, bool /*snapshot_isolation*/) {
+  return std::make_unique<LocalReadView>(db_, tables);
 }
 
 std::unique_ptr<TableMultDataPlane::WriteSession>

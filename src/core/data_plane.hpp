@@ -80,9 +80,10 @@ class TableMultDataPlane {
   /// partitions pre-sum, so C must sum too.
   virtual void ensure_table(const std::string& table, bool sum_combiner) = 0;
 
-  /// Opens one consistent cut of `tables`. `snapshot_isolation` false
-  /// reads the live tables instead (pre-MVCC behaviour) where the
-  /// plane supports the distinction.
+  /// Opens one consistent cut of `tables`. Both planes ignore
+  /// `snapshot_isolation`: the local plane always pins snapshots, the
+  /// cluster plane gives per-scan cuts. TableMult passes true; the bool
+  /// goes with the next change to this interface.
   virtual std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables, bool snapshot_isolation) = 0;
 

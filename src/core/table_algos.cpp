@@ -48,17 +48,15 @@ std::map<std::string, int> adj_bfs(nosql::Instance& db,
 std::size_t table_jaccard(nosql::Instance& db, const std::string& adj_table,
                           const std::string& out_table) {
   const std::string common = out_table + "__common";
-  const std::string degrees = out_table + "__deg";
   // Common-neighbor counts: A is symmetric, so A^T * A(i,j) counts the
   // shared neighbors k of i and j.
   table_mult(db, adj_table, adj_table, common, {.compact_result = true});
-  table_row_degrees(db, adj_table, degrees);
 
-  // Load degrees (one cell per vertex).
+  // Degrees: row sums of A, from one scan.
   std::map<std::string, double> degree;
-  nosql::Scanner deg_scan(db, degrees);
+  nosql::Scanner deg_scan(db, adj_table);
   deg_scan.for_each([&degree](const nosql::Key& k, const nosql::Value& v) {
-    if (const auto d = decode_double(v)) degree[k.row] = *d;
+    if (const auto d = decode_double(v)) degree[k.row] += *d;
   });
 
   if (!db.table_exists(out_table)) db.create_table(out_table);
@@ -80,15 +78,16 @@ std::size_t table_jaccard(nosql::Instance& db, const std::string& adj_table,
   });
   writer.flush();
   db.delete_table(common);
-  db.delete_table(degrees);
   return written;
 }
 
 std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
                          int k, const std::string& out_table) {
-  // Working copy of the adjacency (0/1 values).
+  // Loop-free 0/1 working copy. It is a sum table like the round
+  // products it alternates with, so out_table always ends as one.
   if (db.table_exists(out_table)) db.delete_table(out_table);
-  db.create_table(out_table);
+  create_sum_table(db, out_table);
+  std::size_t edges = 0;
   {
     nosql::BatchWriter writer(db, out_table);
     RowReader reader(open_table_scan(db, adj_table));
@@ -98,69 +97,56 @@ std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
       for (const auto& cell : block.cells) {
         if (cell.key.row == cell.key.qualifier) continue;  // drop loops
         m.put(cell.key.family, cell.key.qualifier, encode_double(1.0));
+        ++edges;
       }
       if (!m.updates().empty()) writer.add_mutation(std::move(m));
     }
     writer.flush();
   }
+  if (k < 3) return edges;  // every edge belongs to the 2-truss
 
+  // Algorithm 1 with Section IV's pruning. A round's support
+  // S = A .* (A^T A) is one TableMult of the edge table with itself,
+  // pattern (x) and the edge table as its own mask, so a wedge that
+  // closes on no edge never reaches the accumulator. A compaction
+  // filter then keeps support >= k-2, and the product becomes the next
+  // round's edge table. After a round that removes nothing both tables
+  // hold the fixpoint.
+  const std::string scratch = out_table + "__kt";
+  if (db.table_exists(scratch)) db.delete_table(scratch);
   const double min_support = static_cast<double>(k - 2);
-  for (int round = 0;; ++round) {
-    const std::size_t edges_before = table_entry_count(db, out_table);
-    if (edges_before == 0) break;
-
-    // Support per existing edge: S = A .* (A^T A). The TableMult output
-    // counts common neighbors; intersecting with A restricts to edges.
-    const std::string common = out_table + "__sq";
-    const std::string support = out_table + "__sup";
-    table_mult(db, out_table, out_table, common, {.compact_result = true});
-    table_ewise_mult(db, out_table, common, support);
-
-    // Rebuild the adjacency from edges whose support meets the bound.
-    std::vector<std::pair<std::string, std::string>> keep;
-    nosql::Scanner scan(db, support);
-    scan.for_each([&](const nosql::Key& key, const nosql::Value& v) {
-      const auto c = decode_double(v);
-      if (c && *c >= min_support) keep.emplace_back(key.row, key.qualifier);
+  TableMultOptions options;
+  options.multiply = [](double, double) { return 1.0; };
+  std::string edge_table = out_table;
+  std::string support = scratch;
+  for (;;) {
+    options.mask_table = edge_table;
+    table_mult(db, edge_table, edge_table, support, options);
+    table_filter(db, support, [min_support](const nosql::Key&, double s) {
+      return s >= min_support;
     });
-    db.delete_table(common);
+    const std::size_t kept = table_entry_count(db, support);
+    std::swap(edge_table, support);
+    if (kept == edges) break;
+    edges = kept;
     db.delete_table(support);
-
-    db.delete_table(out_table);
-    db.create_table(out_table);
-    {
-      nosql::BatchWriter writer(db, out_table);
-      for (const auto& [r, q] : keep) {
-        nosql::Mutation m(r);
-        m.put("", q, encode_double(1.0));
-        writer.add_mutation(std::move(m));
-      }
-      writer.flush();
-    }
-    if (keep.size() == edges_before) break;  // fixpoint
   }
-  return table_entry_count(db, out_table);
+  db.delete_table(scratch);
+  table_apply(db, out_table, [](double) { return 1.0; });
+  return edges;
 }
 
 std::map<std::string, double> table_pagerank(nosql::Instance& db,
                                              const std::string& adj_table,
                                              double alpha, int iterations) {
-  // Vertex universe and out-degrees from one degree pass + one scan of
-  // the adjacency table's qualifiers (sinks appear only as qualifiers).
+  // Out-degrees (row sums of A) and the vertex universe from one scan;
+  // sinks appear only as qualifiers and keep degree 0.
   std::map<std::string, double> degree;
   {
-    const std::string deg_table = adj_table + "__prdeg";
-    table_row_degrees(db, adj_table, deg_table);
-    nosql::Scanner scan(db, deg_table);
-    scan.for_each([&degree](const nosql::Key& k, const nosql::Value& v) {
-      if (const auto d = decode_double(v)) degree[k.row] = *d;
-    });
-    db.delete_table(deg_table);
-  }
-  {
     nosql::Scanner scan(db, adj_table);
-    scan.for_each([&degree](const nosql::Key& k, const nosql::Value&) {
-      degree.emplace(k.qualifier, 0.0);  // sinks get degree 0
+    scan.for_each([&degree](const nosql::Key& k, const nosql::Value& v) {
+      degree[k.row] += decode_double(v).value_or(0.0);
+      degree.emplace(k.qualifier, 0.0);
     });
   }
   const auto n = degree.size();
@@ -171,7 +157,6 @@ std::map<std::string, double> table_pagerank(nosql::Instance& db,
   }
 
   const std::string x_table = adj_table + "__prx";
-  const std::string y_table = adj_table + "__pry";
   for (int it = 0; it < iterations; ++it) {
     // Write the scaled frontier x/d as a one-column table.
     if (db.table_exists(x_table)) db.delete_table(x_table);
@@ -190,29 +175,24 @@ std::map<std::string, double> table_pagerank(nosql::Instance& db,
         writer.add_mutation(std::move(m));
       }
     }
-    // One server-side TableMult: y(j) = sum_i A(i, j) * (x/d)(i).
-    if (db.table_exists(y_table)) db.delete_table(y_table);
-    table_mult(db, adj_table, x_table, y_table);
-    std::map<std::string, double> y;
-    {
-      nosql::Scanner scan(db, y_table);
-      scan.for_each([&y](const nosql::Key& k, const nosql::Value& v) {
-        if (const auto d = decode_double(v)) y[k.row] = *d;
-      });
-    }
+    // One server-side fused reduce: y(j) = sum_i A(i, j) * (x/d)(i),
+    // folded per output row in the workers; no y table exists.
+    const auto y = table_mult_reduce(db, adj_table, x_table, {},
+                                     /*per_row=*/true)
+                       .row_totals;
     // Client-side O(n) glue: damping + dangling redistribution.
     const double uniform =
         alpha / static_cast<double>(n) +
         (1.0 - alpha) * dangling / static_cast<double>(n);
     double total = 0.0;
     for (auto& [key, value] : x) {
-      value = (1.0 - alpha) * (y.count(key) ? y[key] : 0.0) + uniform;
+      const auto yk = y.find(key);
+      value = (1.0 - alpha) * (yk != y.end() ? yk->second : 0.0) + uniform;
       total += value;
     }
     for (auto& [key, value] : x) value /= total;
   }
   if (db.table_exists(x_table)) db.delete_table(x_table);
-  if (db.table_exists(y_table)) db.delete_table(y_table);
   return x;
 }
 

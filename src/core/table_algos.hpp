@@ -25,18 +25,26 @@ std::map<std::string, int> adj_bfs(nosql::Instance& db,
                                    int max_hops);
 
 /// Jaccard similarity on an undirected 0/1 adjacency table. Computes
-/// common-neighbor counts server-side with TableMult, degrees with a
-/// row-degree pass, and writes J(i,j) = |N(i) ^ N(j)| / |N(i) u N(j)|
-/// for i < j into `out_table`. Returns the number of similarity cells
-/// written.
+/// common-neighbor counts server-side with one TableMult (A^T A, into a
+/// `<out_table>__common` table dropped before returning), degrees as
+/// row sums from one scan of A, and writes
+/// J(i,j) = |N(i) ^ N(j)| / |N(i) u N(j)| for i < j into `out_table`
+/// (created with the default config when missing). Returns the number
+/// of similarity cells written.
 std::size_t table_jaccard(nosql::Instance& db, const std::string& adj_table,
                           const std::string& out_table);
 
-/// k-truss of an undirected 0/1 adjacency table (Graphulo's kTrussAdj
-/// iteration): repeatedly compute per-edge triangle support via
-/// TableMult + table eWise, delete edges with support < k-2, until a
-/// fixpoint. The surviving subgraph is written to `out_table` (0/1
-/// adjacency). Returns the number of surviving directed edge cells.
+/// k-truss of an undirected 0/1 adjacency table: Algorithm 1 with
+/// Section IV's pruning, as Graphulo's kTrussAdj runs it in the
+/// database. Each round computes per-edge triangle support with one
+/// masked TableMult of the edge table with itself (pattern (x), the
+/// edge table as its own mask), then a compaction filter deletes edges
+/// with support < k-2; rounds alternate between `out_table` and a
+/// `<out_table>__kt` scratch table until one removes nothing. For
+/// k < 3 every loop-free edge survives. `out_table` is replaced and
+/// always ends as a sum table (sum_table_config) holding the surviving
+/// subgraph as a 0/1 adjacency. Returns the number of surviving
+/// directed edge cells.
 std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
                          int k, const std::string& out_table);
 
@@ -79,12 +87,14 @@ std::uint64_t table_triangle_count_trace(nosql::Instance& db,
 std::uint64_t table_triangle_count_incidence(nosql::Instance& db,
                                              const std::string& adj_table);
 
-/// PageRank executed against an adjacency table: each power sweep is one
-/// server-side TableMult C(j) += sum_i A(i, j) * x(i)/d(i) with the
-/// frontier vector stored as a one-column table; the client only applies
-/// the O(n) damping/dangling correction between sweeps (Graphulo's
-/// orchestration pattern: bulk work in the database, scalar glue in the
-/// client). Returns vertex key -> score (sums to 1).
+/// PageRank executed against an adjacency table: each power sweep
+/// writes the scaled frontier x/d as a one-column table and folds
+/// y(j) = sum_i A(i, j) * x(i)/d(i) with one fused table_mult_reduce
+/// (per-row totals, no result table); the client only applies the O(n)
+/// damping/dangling correction between sweeps (Graphulo's orchestration
+/// pattern: bulk work in the database, scalar glue in the client).
+/// Out-degrees d (row sums) and the vertex universe come from one scan
+/// of A. Returns vertex key -> score (sums to 1).
 std::map<std::string, double> table_pagerank(nosql::Instance& db,
                                              const std::string& adj_table,
                                              double alpha = 0.15,

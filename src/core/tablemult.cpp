@@ -233,7 +233,7 @@ void merge_join(TableMultDataPlane::ReadView& view, const std::string& table_a,
   const bool complement = options.complement_mask;
 
   // The view is one pinned cut: every worker and every retry sees the
-  // same inputs (live scans when isolation was disabled).
+  // same inputs.
   RowReader reader_a(view.open_scan(table_a, range), range);
   RowReader reader_b(view.open_scan(table_b, range), range);
   reader_a.set_cell_filter(options.row_filter);
@@ -490,7 +490,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   if (!options.mask_table.empty()) view_tables.push_back(options.mask_table);
   std::unique_ptr<TableMultDataPlane::ReadView> view =
       util::with_retries("TableMult: snapshot open", retry, [&] {
-        return plane.open_read_view(view_tables, options.snapshot_isolation);
+        return plane.open_read_view(view_tables, /*snapshot_isolation=*/true);
       });
 
   // The mask is loaded once, before the fan-out: one read of M serves

@@ -33,6 +33,12 @@
 // commutative and associative, so any interleaving of the concurrent
 // writes folds to the same table.
 //
+// Reads (DESIGN.md §12): the local plane pins A, B and the mask as MVCC
+// snapshots before partitioning, so every worker and every retry sees
+// the same cut even while other clients write, and an in-place product
+// (C == A or C == B) reads its inputs as of the call. The cluster
+// plane's cuts are per scan (DESIGN.md §14).
+//
 // Failure recovery (see DESIGN.md §8): each partition is an
 // independently retryable unit. A transient failure — an injected
 // fault, a WAL hiccup the lower-level retries could not absorb —
@@ -102,15 +108,6 @@ struct TableMultOptions {
   /// auto-flush). Callers opting into deadlines trade completeness for
   /// bounded latency.
   std::chrono::milliseconds partition_deadline{0};
-  /// Read A and B through pinned MVCC snapshots (one per input table,
-  /// opened before partitioning): every worker — and every retry — sees
-  /// the same consistent cut of the inputs even while other clients
-  /// write to them, which also makes the retry mutation streams exactly
-  /// reproducible. Disable to scan the live tables (the pre-MVCC
-  /// behaviour); in-place products (C == A or C == B) work either way,
-  /// but with snapshots the product reads the inputs as of the call —
-  /// the natural semantics for iterated kernels.
-  bool snapshot_isolation = true;
   /// Structural mask (GraphBLAS C<M>): when non-empty, names a table M
   /// whose stored (row, qualifier) set gates the output. A partial
   /// product destined for C(i, j) is dropped inside the merge join —

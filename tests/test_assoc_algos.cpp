@@ -1,15 +1,10 @@
 // Algorithms directly on associative arrays (the paper's Section IV
-// next step) and the in-database PageRank on tables.
-
-#include <cmath>
+// next step).
 
 #include <gtest/gtest.h>
 
 #include "algo/centrality.hpp"
-#include "assoc/table_io.hpp"
 #include "core/assoc_algos.hpp"
-#include "core/table_algos.hpp"
-#include "test_helpers.hpp"
 
 namespace graphulo::core {
 namespace {
@@ -92,44 +87,6 @@ TEST(AssocDegrees, MatchesRowSums) {
   EXPECT_EQ(degrees.at("alice"), 3.0);
   EXPECT_EQ(degrees.at("bob"), 2.0);
   EXPECT_EQ(degrees.at("dave"), 1.0);
-}
-
-TEST(TablePagerank, MatchesMatrixPagerankOnTables) {
-  nosql::Instance db(2);
-  const auto a = graphulo::testing::random_undirected(30, 0.2, 77);
-  assoc::write_matrix(db, "G", a);
-  const auto table_scores = table_pagerank(db, "G", 0.15, 40);
-  const auto matrix_result =
-      algo::pagerank(a, 0.15, {.max_iterations = 40, .tolerance = 0.0});
-  ASSERT_EQ(table_scores.size(), static_cast<std::size_t>(a.rows()));
-  double total = 0;
-  for (const auto& [key, s] : table_scores) {
-    const auto v = assoc::parse_vertex_key(key);
-    ASSERT_GE(v, 0);
-    EXPECT_NEAR(s, matrix_result.scores[static_cast<std::size_t>(v)], 1e-6)
-        << key;
-    total += s;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(TablePagerank, HandlesSinksViaQualifierUniverse) {
-  nosql::Instance db;
-  // 0 -> 1, 1 is a pure sink (never a row key in the table).
-  auto a = la::SpMat<double>::from_triples(2, 2, {{0, 1, 1.0}});
-  assoc::write_matrix(db, "G", a);
-  const auto scores = table_pagerank(db, "G", 0.15, 50);
-  ASSERT_EQ(scores.size(), 2u);
-  EXPECT_GT(scores.at(assoc::vertex_key(1)), scores.at(assoc::vertex_key(0)));
-  const auto matrix_result =
-      algo::pagerank(a, 0.15, {.max_iterations = 50, .tolerance = 0.0});
-  EXPECT_NEAR(scores.at(assoc::vertex_key(0)), matrix_result.scores[0], 1e-6);
-}
-
-TEST(TablePagerank, EmptyTableYieldsEmptyScores) {
-  nosql::Instance db;
-  db.create_table("empty");
-  EXPECT_TRUE(table_pagerank(db, "empty").empty());
 }
 
 }  // namespace

@@ -566,6 +566,15 @@ TEST(TableAlgos, KTrussRemovesDanglingEdge) {
   EXPECT_EQ(t.at(2, 3), 1.0);
 }
 
+TEST(TableAlgos, KTrussTwoTrussKeepsEveryEdge) {
+  // Every edge belongs to the 2-truss, triangle or not: Fig. 1's k = 2
+  // keeps all 6 edges (12 directed cells), v2-v5 included.
+  nosql::Instance db;
+  write_matrix(db, "A", paper_example_adjacency());
+  EXPECT_EQ(table_ktruss(db, "A", 2, "T"), 12u);
+  EXPECT_EQ(read_matrix(db, "T", 5, 5), paper_example_adjacency());
+}
+
 TEST(TableAlgos, KTrussOfTriangleFreeGraphIsEmpty) {
   nosql::Instance db;
   // 4-cycle: no triangles, so the 3-truss is empty.
