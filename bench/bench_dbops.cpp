@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -434,13 +435,83 @@ std::string run_encoding_sweep(bool smoke) {
   return json;
 }
 
-/// Writes the combined BENCH_scan.json (block-size sweep + encoding
-/// sweep, one file so CI uploads a single scan artifact).
+/// Memtable sweep: median latency of a 1-row scan (8 cells) over a
+/// one-tablet table whose cells all sit unflushed in the active
+/// memtable, one table per size. A scan pins the memtable in O(1) and
+/// seeks it in O(log n), so the latency should stay nearly flat as the
+/// memtable grows; a scan that copied the memtable would grow linearly.
+/// Scans visit the sizes round-robin, so machine drift during the sweep
+/// lands on every size alike. Returns the JSON array for the
+/// "memtable_sweep" key.
+std::string run_memtable_sweep(bool smoke) {
+  constexpr std::size_t kCellsPerRow = 8;
+  constexpr std::size_t kScans = 1000;  // per size
+  const std::vector<std::size_t> sizes =
+      smoke ? std::vector<std::size_t>{1000, 10000}
+            : std::vector<std::size_t>{1000, 10000, 100000};
+  nosql::Instance db(1);
+  for (const std::size_t entries : sizes) {
+    nosql::TableConfig cfg;
+    cfg.flush_entries = 2 * entries;  // nothing flushes
+    const std::string table = "m" + std::to_string(entries);
+    db.create_table(table, cfg);
+    const std::size_t rows = entries / kCellsPerRow;
+    nosql::BatchWriter writer(db, table);
+    for (std::size_t i = 0; i < entries; ++i) {
+      nosql::Mutation m(util::zero_pad(i % rows, 6));
+      m.put("f", util::zero_pad(i / rows, 2), nosql::encode_double(1.0));
+      writer.add_mutation(std::move(m));
+    }
+    writer.flush();
+  }
+  std::vector<std::vector<double>> us(sizes.size());
+  for (std::size_t s = 0; s < kScans; ++s) {
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      const std::size_t rows = sizes[k] / kCellsPerRow;
+      nosql::Scanner scanner(db, "m" + std::to_string(sizes[k]));
+      scanner.set_range(
+          nosql::Range::exact_row(util::zero_pad((s * 7919) % rows, 6)));
+      std::size_t seen = 0;
+      util::Timer t;
+      scanner.for_each(
+          [&seen](const nosql::Key&, const nosql::Value&) { ++seen; });
+      us[k].push_back(t.seconds() * 1e6);
+      if (seen != kCellsPerRow) {
+        std::fprintf(stderr, "memtable sweep: a row returned %zu cells\n",
+                     seen);
+        std::exit(1);
+      }
+    }
+  }
+  util::TablePrinter table({"memtable entries", "1-row scan p50", "vs 1K"});
+  std::string json = "[";
+  const double base_us = util::percentile(us[0], 0.5);
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    const double p50 = util::percentile(us[k], 0.5);
+    const double ratio = p50 / base_us;
+    table.add_row({std::to_string(sizes[k]),
+                   util::TablePrinter::fmt(p50, 1) + " us",
+                   util::TablePrinter::fmt(ratio, 2) + "x"});
+    if (k > 0) json += ", ";
+    json += "{\"memtable_entries\": " + std::to_string(sizes[k]) +
+            ", \"scan_p50_us\": " + util::TablePrinter::fmt(p50, 2) +
+            ", \"ratio_vs_1k\": " + util::TablePrinter::fmt(ratio, 3) + "}";
+  }
+  json += "]";
+  table.print("1-row scan latency vs unflushed memtable entries (" +
+              std::to_string(kScans) + " scans per size)");
+  return json;
+}
+
+/// Writes the combined BENCH_scan.json (block-size, encoding and
+/// memtable sweeps, one file so CI uploads a single scan artifact).
 void write_scan_json(const std::string& block_sweep,
-                     const std::string& encoding_sweep) {
+                     const std::string& encoding_sweep,
+                     const std::string& memtable_sweep) {
   std::ofstream("BENCH_scan.json")
       << "{\"bench\": \"scan\", \"block_sweep\": " << block_sweep
-      << ", \"encoding_sweep\": " << encoding_sweep << "}\n";
+      << ", \"encoding_sweep\": " << encoding_sweep
+      << ", \"memtable_sweep\": " << memtable_sweep << "}\n";
   std::printf("wrote BENCH_scan.json\n\n");
 }
 
@@ -866,8 +937,10 @@ int main(int argc, char** argv) {
     // Small-scale scan artifact so sanitizer jobs exercise the packed
     // (RFL3) read path end to end and CI can assert on the JSON.
     if (runs_leg("scan")) {
-      write_scan_json(run_scan_block_sweep(8000),
-                      run_encoding_sweep(/*smoke=*/true));
+      const std::string block_sweep = run_scan_block_sweep(8000);
+      const std::string encoding_sweep = run_encoding_sweep(/*smoke=*/true);
+      write_scan_json(block_sweep, encoding_sweep,
+                      run_memtable_sweep(/*smoke=*/true));
     }
     // Small leveled sustained-ingest artifact for CI assertions.
     if (runs_leg("compaction")) run_compaction_sweep(/*smoke=*/true);
@@ -936,11 +1009,14 @@ int main(int argc, char** argv) {
     table.print("LSM tuning: flush threshold");
   }
 
-  // Scan artifact: block-size sweep plus the RFL3 encoding sweep
-  // (cells-per-cached-byte on R-MAT adjacency and the tweet term table).
+  // Scan artifact: block-size sweep, the RFL3 encoding sweep
+  // (cells-per-cached-byte on R-MAT adjacency and the tweet term table)
+  // and the memtable sweep (1-row scan latency vs unflushed entries).
   if (runs_leg("scan")) {
-    write_scan_json(run_scan_block_sweep(2 * kCells),
-                    run_encoding_sweep(/*smoke=*/false));
+    const std::string block_sweep = run_scan_block_sweep(2 * kCells);
+    const std::string encoding_sweep = run_encoding_sweep(/*smoke=*/false);
+    write_scan_json(block_sweep, encoding_sweep,
+                    run_memtable_sweep(/*smoke=*/false));
   }
 
   // Leveled amplification under sustained overwrite ingest.

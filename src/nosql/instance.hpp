@@ -28,8 +28,10 @@ namespace graphulo::nosql {
 
 /// One table: config + tablets sorted by extent, each assigned to a
 /// tablet server round-robin. When the config asks for RFile block
-/// caching (rfile.cache_bytes > 0) the table owns one shared
-/// BlockCache that every tablet's file iterators read through.
+/// caching (rfile.cache_bytes > 0) the table has one BlockCache that
+/// every tablet's file iterators read through; the table shares it with
+/// its tablets and their snapshots, so an open snapshot keeps it alive
+/// after delete_table.
 class Table {
  public:
   Table(std::string name, TableConfig config)
@@ -38,7 +40,7 @@ class Table {
         admission_(
             std::make_unique<AdmissionController>(&config_->admission)) {
     if (config_->rfile.cache_bytes > 0) {
-      cache_ = std::make_unique<BlockCache>(config_->rfile.cache_bytes);
+      cache_ = std::make_shared<BlockCache>(config_->rfile.cache_bytes);
     }
   }
 
@@ -51,8 +53,8 @@ class Table {
     return tablets_;
   }
 
-  /// The table-wide RFile block cache; nullptr when caching is off.
-  BlockCache* cache() const noexcept { return cache_.get(); }
+  /// The table-wide RFile block cache; null when caching is off.
+  const std::shared_ptr<BlockCache>& cache() const noexcept { return cache_; }
 
   /// The table's admission gate (always present; a no-op with default
   /// AdmissionConfig knobs).
@@ -65,7 +67,7 @@ class Table {
   std::unique_ptr<TableConfig> config_;  // stable address for tablets
   /// Stable address: Scanner/BatchWriter hold the pointer across calls.
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<BlockCache> cache_;    // stable address for tablets
+  std::shared_ptr<BlockCache> cache_;
   std::vector<std::shared_ptr<Tablet>> tablets_;
   std::vector<int> tablet_server_of_;  ///< parallel to tablets_
 };

@@ -154,8 +154,9 @@ class WrappingIterator : public SortedKVIterator {
   IterPtr source_;
 };
 
-/// Iterator over an in-memory sorted vector of cells (the building block
-/// used by memtable snapshots and tests).
+/// Iterator over an in-memory sorted vector of cells: a fixed source
+/// for tests and for iterator settings that substitute their own cells.
+/// (Memtables are read through MemtablePin, memtable.hpp.)
 class VectorIterator : public SortedKVIterator {
  public:
   /// `cells` must already be sorted by Key.

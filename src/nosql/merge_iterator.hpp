@@ -1,6 +1,6 @@
 #pragma once
 // Heap-merge of several sorted sources into one sorted stream — the
-// bottom of every tablet scan stack (memtable snapshot + each immutable
+// bottom of every tablet scan stack (pinned memtables + each immutable
 // file) and of every compaction — plus the level iterator that walks
 // one sorted run of non-overlapping files as a single lazy source.
 

@@ -52,19 +52,17 @@ IterPtr merge_pinned_sources(
   std::vector<IterPtr> children;
   children.reserve(sources.frozen.size() + (v ? v->file_count() : 0) + 1);
   // Newest source first: at equal keys the merge prefers lower child
-  // indices. The memtable cut is always newest; frozen memtables and L0
-  // files interleave by data sequence number. Sorted levels follow,
+  // indices. The active memtable is always newest; frozen memtables and
+  // L0 files interleave by data sequence number. Sorted levels follow,
   // shallowest (newest) first — everything in L(n+1) predates
   // everything in L(n) by construction.
-  if (sources.memtable) {
-    children.push_back(std::make_unique<VectorIterator>(sources.memtable));
-  }
+  if (sources.active.memtable) children.push_back(sources.active.iterator());
   auto fz = sources.frozen.begin();
   std::size_t fi = 0;
   while (fz != sources.frozen.end() || fi < l0.size()) {
     if (fi >= l0.size() ||
         (fz != sources.frozen.end() && fz->first > l0[fi].seq)) {
-      children.push_back(std::make_unique<VectorIterator>(fz->second));
+      children.push_back(fz->second.iterator());
       ++fz;
     } else {
       // One LevelIterator per L0 file (ranges may overlap), so file
@@ -109,10 +107,11 @@ IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
 }
 
 TabletSnapshot::TabletSnapshot(TabletExtent extent, PinnedSources sources,
-                               BlockCache* cache, TableConfig config)
+                               std::shared_ptr<BlockCache> cache,
+                               TableConfig config)
     : extent_(std::move(extent)),
       sources_(std::move(sources)),
-      cache_(cache),
+      cache_(std::move(cache)),
       config_(std::move(config)) {
   snapshot_live_gauge().add(1);
   snapshot_opened_total().inc();

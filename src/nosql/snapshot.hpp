@@ -5,19 +5,24 @@
 // TableMult partition worker) reads a stable view while writers,
 // flushes, and compactions proceed untouched.
 //
-// The cut is STRUCTURAL, not filtered: open_snapshot() captures, under
-// the tablet lock, shared_ptrs to every immutable source (a memtable
-// snapshot, each frozen memtable's cell vector, the current Version)
-// plus the table config they are read with. Readers never consult live
-// tablet state again, so consistency is immediate, and nothing a
+// The cut is a set of pins, taken in O(1) under the tablet lock: the
+// active memtable together with its mutation count (a MemtablePin,
+// memtable.hpp), each frozen memtable the same way, the current
+// Version, plus the table config and block cache they are read with.
+// Writers keep inserting into the pinned active memtable; a reader
+// skips every entry newer than its count, so it sees whole mutations
+// only and exactly those applied before the pin. Readers never consult
+// live tablet state again, so consistency is immediate, and nothing a
 // writer, flush, or compaction does can change what a handle returns:
 // compaction follows the delete-marker rule of DESIGN.md §11 alone and
 // never waits for, or holds back GC for, an open handle.
 //
 // What an open handle costs is memory: it keeps its cut's RFiles and
-// frozen memtables alive, including ones a later compaction or flush
-// has retired, until the handle is destroyed. Close handles promptly;
-// distributed scan leases bound an abandoned one through their TTL.
+// memtables alive (arenas included), including ones a later compaction
+// or flush has retired, until the handle is destroyed. A pinned active
+// memtable also keeps growing with writes the handle cannot see, until
+// the tablet freezes or flushes it. Close handles promptly; distributed
+// scan leases bound an abandoned one through their TTL.
 
 #include <cstdint>
 #include <memory>
@@ -27,6 +32,7 @@
 
 #include "nosql/iterator.hpp"
 #include "nosql/key.hpp"
+#include "nosql/memtable.hpp"
 #include "nosql/table_config.hpp"
 #include "nosql/tablet.hpp"
 #include "nosql/version_set.hpp"
@@ -35,14 +41,13 @@ namespace graphulo::nosql {
 
 class BlockCache;
 
-/// The pinned immutable sources of one consistent per-tablet cut.
+/// The pinned sources of one consistent per-tablet cut.
 struct PinnedSources {
-  /// Active-memtable cells at pin time (null when it was empty).
-  std::shared_ptr<const std::vector<Cell>> memtable;
+  /// The active memtable and its mutation count at pin time (no
+  /// memtable when it was empty).
+  MemtablePin active;
   /// Frozen memtables, newest first, each with its freeze data-seq.
-  std::vector<std::pair<std::uint64_t,
-                        std::shared_ptr<const std::vector<Cell>>>>
-      frozen;
+  std::vector<std::pair<std::uint64_t, MemtablePin>> frozen;
   std::shared_ptr<const Version> version;
 };
 
@@ -66,14 +71,16 @@ IterPtr apply_scope_iterators(IterPtr source,
 
 /// One tablet's pinned cut, from Tablet::open_snapshot(): a
 /// self-contained value holding the cut's sources and the table config
-/// captured with them, and no reference to the tablet. Immutable after
+/// and block cache captured with them, and no reference to the tablet,
+/// so it stays readable after its table is deleted. Immutable after
 /// open and safe to share across scan threads; each scan_stack() call
-/// builds a fresh independent stack. Open handles are counted by the
-/// snapshot.live gauge.
+/// builds a fresh independent stack, which reads through the handle's
+/// cache and so must not outlive the handle. Open handles are counted
+/// by the snapshot.live gauge.
 class TabletSnapshot {
  public:
   TabletSnapshot(TabletExtent extent, PinnedSources sources,
-                 BlockCache* cache, TableConfig config);
+                 std::shared_ptr<BlockCache> cache, TableConfig config);
   ~TabletSnapshot();
   TabletSnapshot(const TabletSnapshot&) = delete;
   TabletSnapshot& operator=(const TabletSnapshot&) = delete;
@@ -83,13 +90,13 @@ class TabletSnapshot {
   /// Full scan stack over the pinned cut (read_stack with the captured
   /// config).
   IterPtr scan_stack() const {
-    return read_stack(sources_, cache_, &config_);
+    return read_stack(sources_, cache_.get(), &config_);
   }
 
  private:
   TabletExtent extent_;
   PinnedSources sources_;
-  BlockCache* cache_;
+  std::shared_ptr<BlockCache> cache_;
   /// Captured at open so the cut's read semantics are as stable as its
   /// data (a later attach_iterator must not change what an open
   /// snapshot returns).

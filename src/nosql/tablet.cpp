@@ -117,19 +117,21 @@ void Tablet::apply(const Mutation& mutation, Timestamp assigned_ts) {
     throw std::logic_error("Tablet::apply: row outside extent");
   }
   wait_for_capacity_locked(lock);
-  memtable_.apply(mutation, assigned_ts);
+  memtable_->apply(mutation, assigned_ts);
   maybe_compact_locked();
 }
 
 void Tablet::insert_cell(Cell cell) {
   std::unique_lock lock(mutex_);
   wait_for_capacity_locked(lock);
-  memtable_.insert(std::move(cell.key), std::move(cell.value));
+  memtable_->insert(cell.key, cell.value);
   maybe_compact_locked();
 }
 
 void Tablet::maybe_compact_locked() {
-  if (memtable_.entry_count() < config_->flush_entries) return;
+  // Shadowed identical-key entries count: rewriting one key must not
+  // grow a memtable without bound.
+  if (memtable_->node_count() < config_->flush_entries) return;
   if (scheduler_) {
     // Background mode: O(1) freeze + enqueue; the writer returns
     // immediately and the flush runs on the scheduler's pool.
@@ -193,23 +195,23 @@ void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
 }
 
 std::vector<Cell> Tablet::build_minor_cells(
-    const std::shared_ptr<const std::vector<Cell>>& snapshot,
+    const Memtable& memtable,
     const std::vector<IteratorSetting>& settings) const {
   // Site fires before any state change: a failed flush leaves memtable
   // and file set exactly as they were.
   util::fault::point(util::fault::sites::kMemtableFlush);
   TRACE_SPAN("tablet.flush");
-  IterPtr stack = std::make_unique<VectorIterator>(snapshot);
+  IterPtr stack = memtable.pin().iterator();
   stack = apply_scope_iterators(std::move(stack), settings, kMincScope);
   return drain_all(*stack);
 }
 
 void Tablet::freeze_active_locked() {
-  if (memtable_.empty()) return;  // never enqueue a no-op flush
+  if (memtable_->empty()) return;  // never enqueue a no-op flush
   frozen_.insert(frozen_.begin(),
-                 FrozenMemtable{next_data_seq_++, memtable_.snapshot()});
+                 FrozenMemtable{next_data_seq_++, std::move(memtable_)});
   frozen_gauge().add(1);
-  memtable_.clear();
+  memtable_ = std::make_shared<Memtable>();
   enqueue_minor_locked();
 }
 
@@ -252,7 +254,7 @@ void Tablet::run_background_minor() {
     std::shared_ptr<RFile> file;
     bool ok = true;
     try {
-      auto cells = build_minor_cells(target.cells, settings);
+      auto cells = build_minor_cells(*target.memtable, settings);
       if (!cells.empty()) {
         file = RFile::from_sorted(std::move(cells), rfile_opts);
       }
@@ -424,16 +426,16 @@ void Tablet::flush_locked() {
   // was never queued) drain here, oldest first, preserving seq order.
   while (!frozen_.empty()) {
     const FrozenMemtable target = frozen_.back();
-    auto cells = build_minor_cells(target.cells, config_->iterators);
+    auto cells = build_minor_cells(*target.memtable, config_->iterators);
     std::shared_ptr<RFile> file;
     if (!cells.empty()) {
       file = RFile::from_sorted(std::move(cells), config_->rfile);
     }
     install_minor_locked(target.seq, file);
   }
-  if (memtable_.empty()) return;
+  if (memtable_->empty()) return;
   const std::uint64_t seq = next_data_seq_;
-  auto cells = build_minor_cells(memtable_.snapshot(), config_->iterators);
+  auto cells = build_minor_cells(*memtable_, config_->iterators);
   if (!cells.empty()) {
     auto file = RFile::from_sorted(std::move(cells), config_->rfile);
     VersionEdit edit;
@@ -442,9 +444,10 @@ void Tablet::flush_locked() {
     apply_edit_locked(edit);
     flush_cells_total().inc(file->entry_count());
   }
-  // Past every fault site: commit the sequence number and clear.
+  // Past every fault site: commit the sequence number and start a fresh
+  // memtable (readers may still hold the flushed one).
   ++next_data_seq_;
-  memtable_.clear();
+  memtable_ = std::make_shared<Memtable>();
   ++minor_compactions_;
   flush_total().inc();
   state_cv_.notify_all();
@@ -502,9 +505,11 @@ void Tablet::major_compact_locked() {
 
 PinnedSources Tablet::pinned_sources_locked() const {
   PinnedSources s;
-  if (!memtable_.empty()) s.memtable = memtable_.snapshot();
+  if (!memtable_->empty()) s.active = memtable_->pin();
   s.frozen.reserve(frozen_.size());
-  for (const auto& f : frozen_) s.frozen.emplace_back(f.seq, f.cells);
+  for (const auto& f : frozen_) {
+    s.frozen.emplace_back(f.seq, f.memtable->pin());
+  }
   s.version = versions_.current();
   return s;
 }
@@ -517,12 +522,12 @@ std::shared_ptr<TabletSnapshot> Tablet::open_snapshot() const {
 
 IterPtr Tablet::scan_stack() const {
   std::lock_guard lock(mutex_);
-  return read_stack(pinned_sources_locked(), cache_, config_);
+  return read_stack(pinned_sources_locked(), cache_.get(), config_);
 }
 
 IterPtr Tablet::raw_stack() const {
   std::lock_guard lock(mutex_);
-  return read_stack(pinned_sources_locked(), cache_, nullptr);
+  return read_stack(pinned_sources_locked(), cache_.get(), nullptr);
 }
 
 std::shared_ptr<const Version> Tablet::version() const {
@@ -534,11 +539,9 @@ std::vector<Cell> Tablet::unflushed_cells() const {
   std::lock_guard lock(mutex_);
   std::vector<IterPtr> children;
   children.reserve(frozen_.size() + 1);
-  if (!memtable_.empty()) {
-    children.push_back(std::make_unique<VectorIterator>(memtable_.snapshot()));
-  }
+  if (!memtable_->empty()) children.push_back(memtable_->pin().iterator());
   for (const auto& f : frozen_) {  // newest first already
-    children.push_back(std::make_unique<VectorIterator>(f.cells));
+    children.push_back(f.memtable->pin().iterator());
   }
   MergeIterator merged(std::move(children));
   return drain_all(merged);
@@ -557,9 +560,9 @@ void Tablet::restore_files(std::vector<FileMeta> files) {
 TabletStats Tablet::stats() const {
   std::lock_guard lock(mutex_);
   TabletStats s;
-  s.memtable_entries = memtable_.entry_count();
+  s.memtable_entries = memtable_->node_count();
   s.frozen_memtables = frozen_.size();
-  for (const auto& f : frozen_) s.frozen_entries += f.cells->size();
+  for (const auto& f : frozen_) s.frozen_entries += f.memtable->node_count();
   const auto v = versions_.current();
   s.file_count = v->file_count();
   for (const auto& level : v->levels) {
@@ -599,21 +602,14 @@ std::size_t Tablet::entry_estimate() const {
 std::vector<std::string> Tablet::sample_split_rows(std::size_t n) const {
   if (n == 0) return {};
   std::lock_guard lock(mutex_);
-  std::vector<std::string> rows = memtable_.sample_rows(n);
-  for (const auto& frozen : frozen_) {
-    const auto& cells = *frozen.cells;
-    if (cells.empty()) continue;
-    const std::size_t stride =
-        std::max<std::size_t>(1, (cells.size() + n - 1) / n);
-    for (std::size_t i = 0; i < cells.size(); i += stride) {
-      rows.push_back(cells[i].key.row);
-    }
-    rows.push_back(cells.back().key.row);
-  }
+  std::vector<std::string> rows = memtable_->sample_rows(n);
+  const auto append = [&rows](std::vector<std::string> more) {
+    rows.insert(rows.end(), std::make_move_iterator(more.begin()),
+                std::make_move_iterator(more.end()));
+  };
+  for (const auto& f : frozen_) append(f.memtable->sample_rows(n));
   for (const FileMeta& m : versions_.current()->all_files()) {
-    auto from_file = m.file->sample_rows(n);
-    rows.insert(rows.end(), std::make_move_iterator(from_file.begin()),
-                std::make_move_iterator(from_file.end()));
+    append(m.file->sample_rows(n));
   }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());

@@ -18,6 +18,14 @@
 // AND nothing is frozen, i.e. the key can no longer exist anywhere
 // deeper; partial compactions keep them for scan-time resolution.
 //
+// Memtables: the tablet writes into one active Memtable (memtable.hpp)
+// under its mutex and reads by pinning: a pin is the memtable object
+// plus its mutation count, taken in O(1) under the lock, and readers
+// then walk the skiplist without the lock. A flush or a freeze never
+// clears a memtable, since readers may still hold it: it moves the
+// active memtable aside (into the frozen list, or drops the tablet's
+// reference after the flush lands) and starts a fresh one.
+//
 // Two compaction execution modes:
 //
 //  - Inline (no CompactionScheduler attached, the default): threshold
@@ -25,8 +33,9 @@
 //    settles every over-budget level before the writer returns.
 //
 //  - Background (CompactionScheduler attached): a threshold crossing
-//    freezes the active memtable (O(1) swap) and enqueues the flush on
-//    the scheduler; writers continue into a fresh memtable. One picked
+//    freezes the active memtable (an O(1) move of the memtable object
+//    into the frozen list) and enqueues the flush on the scheduler;
+//    writers continue into a fresh memtable. One picked
 //    compaction runs off-thread at a time; a completed install
 //    re-checks the picker so cascades (L0->L1 overflowing L1) drain.
 //    Back-pressure: writers block when the file count reaches
@@ -58,7 +67,7 @@
 namespace graphulo::nosql {
 
 class TabletSnapshot;   // snapshot.hpp — a pinned MVCC cut of one tablet
-struct PinnedSources;   // snapshot.hpp — the cut's immutable sources
+struct PinnedSources;   // snapshot.hpp — the cut's pinned sources
 
 /// The row interval a tablet covers: [start_row, end_row), where an
 /// empty string means unbounded on that side.
@@ -75,6 +84,8 @@ struct TabletExtent {
 
 /// Point-in-time statistics for one tablet.
 struct TabletStats {
+  /// Entries in the active memtable, shadowed identical-key entries
+  /// included (the count TableConfig::flush_entries bounds).
   std::size_t memtable_entries = 0;
   std::size_t frozen_memtables = 0;  ///< immutable memtables awaiting flush
   std::size_t frozen_entries = 0;
@@ -114,8 +125,9 @@ struct TabletStats {
 
 class Tablet : public std::enable_shared_from_this<Tablet> {
  public:
-  /// `config` must outlive the tablet (owned by the Table), as must
-  /// `cache` when non-null. Attaching a `scheduler` requires the
+  /// `config` must outlive the tablet (owned by the Table). `cache`
+  /// (null = no block cache) is shared with the table and with every
+  /// snapshot opened here. Attaching a `scheduler` requires the
   /// tablet itself to be owned by a shared_ptr (background tasks keep
   /// it alive via shared_from_this). The scheduler pointer is
   /// NON-OWNING — the attacher (Instance, or a test) keeps it alive
@@ -125,11 +137,11 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// would then run the scheduler's destructor on its own worker
   /// (self-join deadlock).
   Tablet(TabletExtent extent, const TableConfig* config,
-         BlockCache* cache = nullptr,
+         std::shared_ptr<BlockCache> cache = nullptr,
          CompactionScheduler* scheduler = nullptr)
       : extent_(std::move(extent)),
         config_(config),
-        cache_(cache),
+        cache_(std::move(cache)),
         scheduler_(scheduler) {}
 
   /// Releases the tablet's contribution to the global frozen-memtable
@@ -184,10 +196,11 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// versioning, or scan iterators (diagnostics and split).
   IterPtr raw_stack() const;
 
-  /// Opens an MVCC snapshot: pins the current cut (memtable contents,
-  /// frozen memtables, file set) together with the table config, in a
-  /// handle that reads nothing of the tablet afterwards. See
-  /// snapshot.hpp.
+  /// Opens an MVCC snapshot: pins the current cut (the active memtable
+  /// and its mutation count, the frozen memtables, the file set)
+  /// together with the table config and block cache, in a handle that
+  /// reads nothing of the tablet afterwards. O(1) in the memtable's
+  /// size. See snapshot.hpp.
   std::shared_ptr<TabletSnapshot> open_snapshot() const;
 
   /// Snapshot of the current leveled file set (cheap, lock-free reads
@@ -217,30 +230,33 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::vector<std::string> sample_split_rows(std::size_t n) const;
 
  private:
-  /// An immutable memtable snapshot awaiting flush, ordered by `seq`.
+  /// A memtable that takes no more writes, awaiting flush, ordered by
+  /// `seq`.
   struct FrozenMemtable {
     std::uint64_t seq = 0;
-    std::shared_ptr<const std::vector<Cell>> cells;
+    std::shared_ptr<const Memtable> memtable;
   };
 
-  /// Captures the current cut's immutable sources (memtable snapshot,
-  /// frozen list, current Version) — the open_snapshot payload and the
-  /// basis of every scan stack.
+  /// Pins the current cut's sources (active memtable and its count,
+  /// frozen list, current Version) in O(1) — the open_snapshot payload
+  /// and the basis of every scan stack.
   PinnedSources pinned_sources_locked() const;
   /// Threshold flush/compact: inline (failure-contained) without a
   /// scheduler, freeze + enqueue with one.
   void maybe_compact_locked();
   void flush_locked();
   void major_compact_locked();
-  /// Runs the minc-scope stack over one frozen snapshot; fires the
+  /// Runs the minc-scope stack over one memtable that takes no writes
+  /// meanwhile (frozen, or the active one under the lock); fires the
   /// flush fault site. `settings` is passed in (copied under the lock
   /// by background callers) so no config read races a concurrent
   /// attach_iterator.
   std::vector<Cell> build_minor_cells(
-      const std::shared_ptr<const std::vector<Cell>>& snapshot,
+      const Memtable& memtable,
       const std::vector<IteratorSetting>& settings) const;
-  /// Moves the active memtable into frozen_ (no-op when empty) and
-  /// makes sure a background flush is queued. Requires scheduler_.
+  /// Moves the active memtable into frozen_ and starts a fresh one
+  /// (no-op when empty), and makes sure a background flush is queued.
+  /// O(1). Requires scheduler_.
   void freeze_active_locked();
   void enqueue_minor_locked();
   /// Enqueues a background compaction when the picker has work.
@@ -267,13 +283,14 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
 
   TabletExtent extent_;
   const TableConfig* config_;
-  BlockCache* cache_ = nullptr;
+  std::shared_ptr<BlockCache> cache_;
   CompactionScheduler* scheduler_ = nullptr;  ///< non-owning
   mutable std::mutex mutex_;
   /// Signalled on every install/completion: back-pressure waits,
   /// flush()'s drain wait.
   mutable std::condition_variable state_cv_;
-  Memtable memtable_;
+  /// The active memtable. Replaced, never cleared: pins may hold it.
+  std::shared_ptr<Memtable> memtable_ = std::make_shared<Memtable>();
   std::vector<FrozenMemtable> frozen_;  ///< sorted by seq, newest first
   VersionSet versions_;                 ///< the leveled file set
   std::uint64_t next_data_seq_ = 1;

@@ -20,38 +20,68 @@
 namespace graphulo::nosql {
 namespace {
 
+/// Everything a pin of the memtable's current contents reads.
+std::vector<Cell> read_memtable(const Memtable& mem) {
+  const auto it = mem.pin().iterator();
+  return drain(*it, Range::all());
+}
+
 TEST(Memtable, AppliesMutationsWithAssignedTimestamps) {
-  Memtable mem;
+  const auto mem = std::make_shared<Memtable>();
   Mutation m("row1");
   m.put("f", "q1", "v1").put("f", "q2", "v2");
-  mem.apply(m, 42);
-  EXPECT_EQ(mem.entry_count(), 2u);
-  const auto snap = mem.snapshot();
-  EXPECT_EQ((*snap)[0].key.ts, 42);
-  EXPECT_EQ((*snap)[0].key.qualifier, "q1");
+  mem->apply(m, 42);
+  EXPECT_EQ(mem->entry_count(), 2u);
+  const auto cells = read_memtable(*mem);
+  EXPECT_EQ(cells[0].key.ts, 42);
+  EXPECT_EQ(cells[0].key.qualifier, "q1");
 }
 
 TEST(Memtable, LastWriteWinsOnIdenticalKey) {
-  Memtable mem;
+  const auto mem = std::make_shared<Memtable>();
   Mutation m1("r");
   m1.put("f", "q", "", 5, "first");
   Mutation m2("r");
   m2.put("f", "q", "", 5, "second");
-  mem.apply(m1, 0);
-  mem.apply(m2, 0);
-  EXPECT_EQ(mem.entry_count(), 1u);
-  EXPECT_EQ((*mem.snapshot())[0].value, "second");
+  mem->apply(m1, 0);
+  mem->apply(m2, 0);
+  EXPECT_EQ(mem->entry_count(), 1u);
+  EXPECT_EQ(read_memtable(*mem)[0].value, "second");
 }
 
-TEST(Memtable, ClearResets) {
-  Memtable mem;
-  Mutation m("r");
-  m.put("f", "q", "v");
-  mem.apply(m, 1);
-  EXPECT_GT(mem.approximate_bytes(), 0u);
-  mem.clear();
-  EXPECT_TRUE(mem.empty());
-  EXPECT_EQ(mem.approximate_bytes(), 0u);
+TEST(Memtable, PinSeesOnlyItsPrefix) {
+  const auto mem = std::make_shared<Memtable>();
+  Mutation m1("m");
+  m1.put("f", "q", "", 5, "old");
+  mem->apply(m1, 0);
+  const MemtablePin pin = mem->pin();
+
+  Mutation overwrite("m");  // identical key: shadows "old"
+  overwrite.put("f", "q", "", 5, "new");
+  mem->apply(overwrite, 0);
+  Mutation before("a");  // sorts before the pinned key
+  before.put("f", "q", "v");
+  mem->apply(before, 7);
+  Mutation after("z");  // sorts after it
+  after.put("f", "q", "v");
+  mem->apply(after, 8);
+
+  const auto it = pin.iterator();
+  const auto pinned = drain(*it, Range::all());
+  ASSERT_EQ(pinned.size(), 1u);
+  EXPECT_EQ(pinned[0].key.row, "m");
+  EXPECT_EQ(pinned[0].value, "old");
+  const auto point = drain(*it, Range::exact_row("m"));
+  ASSERT_EQ(point.size(), 1u);
+  EXPECT_EQ(point[0].value, "old");
+
+  const auto now = read_memtable(*mem);
+  ASSERT_EQ(now.size(), 3u);
+  EXPECT_EQ(now[0].key.row, "a");
+  EXPECT_EQ(now[1].value, "new");
+  EXPECT_EQ(now[2].key.row, "z");
+  EXPECT_EQ(mem->entry_count(), 3u);
+  EXPECT_EQ(mem->node_count(), 4u);
 }
 
 TEST(RFile, DiskRoundTrip) {
@@ -253,6 +283,25 @@ TEST(Tablet, ScanAppliesVersioning) {
   const auto cells = drain(*stack, Range::all());
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].value, "v2");
+}
+
+TEST(Tablet, RewritingOneKeyStaysWithinFlushThreshold) {
+  TableConfig cfg;
+  cfg.flush_entries = 50;
+  Tablet tablet({"", ""}, &cfg);
+  const std::size_t writes = 3 * cfg.flush_entries;
+  for (std::size_t i = 0; i < writes; ++i) {
+    Mutation m("r");
+    m.put("f", "q", "", 1, "v" + std::to_string(i));
+    tablet.apply(m, 0);
+    ASSERT_LE(tablet.stats().memtable_entries, cfg.flush_entries)
+        << "after write " << i;
+  }
+  EXPECT_GE(tablet.stats().minor_compactions, 3u);
+  auto stack = tablet.scan_stack();
+  const auto cells = drain(*stack, Range::all());
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].value, "v" + std::to_string(writes - 1));
 }
 
 TEST(Tablet, RejectsRowOutsideExtent) {

@@ -468,5 +468,99 @@ TEST(SnapshotProperty, RaceHoldsWithFlushAndCompactionFaultsArmed) {
   run_snapshot_race(/*with_faults=*/true);
 }
 
+// Each writer w applies mutations k = 0,1,... to its own row "w<w>",
+// every one carrying kUpdates cells (qualifier "<k>.<j>"). Readers pin
+// the memtable while writers are inside it, so a read must hold each
+// mutation whole or not at all — and, since one row lives in one tablet
+// and a tablet's cut is taken at once, each writer's mutations as a
+// prefix 0..n-1.
+TEST(SnapshotProperty, MultiUpdateMutationsStayWhole) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 600;
+  constexpr int kUpdates = 8;
+  Instance db(2);
+  auto scheduler = std::make_shared<CompactionScheduler>(2);
+  db.attach_compaction_scheduler(scheduler);
+  TableConfig cfg;
+  cfg.flush_entries = 200;  // freezes and background flushes mid-race
+  db.create_table("t", std::move(cfg));
+  db.add_splits("t", {"w2"});
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<std::size_t> violations{0};
+  std::atomic<std::size_t> live_reads{0};
+  std::atomic<std::size_t> snapshot_reads{0};
+
+  // Validates one read; returns the mutations it saw.
+  const auto check = [&](const std::vector<Cell>& cells) {
+    std::vector<std::vector<int>> seen(kWriters,
+                                       std::vector<int>(kPerWriter, 0));
+    for (const auto& c : cells) {
+      const int w = c.key.row[1] - '0';
+      const int k = std::stoi(c.key.qualifier);
+      if (w < 0 || w >= kWriters || k < 0 || k >= kPerWriter) {
+        violations.fetch_add(1);
+        continue;
+      }
+      ++seen[static_cast<std::size_t>(w)][static_cast<std::size_t>(k)];
+    }
+    for (const auto& per_writer : seen) {
+      bool ended = false;  // mutations after the first missing one
+      for (const int updates : per_writer) {
+        if (updates != 0 && updates != kUpdates) violations.fetch_add(1);
+        if (updates == 0) ended = true;
+        if (updates != 0 && ended) violations.fetch_add(1);
+      }
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::string row = "w" + std::to_string(w);
+      for (int k = 0; k < kPerWriter; ++k) {
+        Mutation m(row);
+        for (int j = 0; j < kUpdates; ++j) {
+          m.put("f", std::to_string(k) + "." + std::to_string(j), "v");
+        }
+        db.apply("t", m);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {  // live scans, one task per writer row
+    std::vector<Range> ranges;
+    for (int w = 0; w < kWriters; ++w) {
+      ranges.push_back(Range::exact_row("w" + std::to_string(w)));
+    }
+    do {
+      BatchScanner scan(db, "t");
+      scan.set_ranges(ranges);
+      check(scan.read_all());
+      live_reads.fetch_add(1);
+    } while (writers_left.load() > 0);
+  });
+  threads.emplace_back([&] {  // snapshot reads, each read twice
+    do {
+      auto snap = db.open_snapshot("t");
+      const auto first = snapshot_cells(db, "t", snap);
+      check(first);
+      if (flatten(first) != flatten(snapshot_cells(db, "t", snap))) {
+        violations.fetch_add(1);
+      }
+      snapshot_reads.fetch_add(1);
+    } while (writers_left.load() > 0);
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(live_reads.load(), 0u);
+  EXPECT_GT(snapshot_reads.load(), 0u);
+  db.flush("t");
+  Scanner scan(db, "t");
+  EXPECT_EQ(scan.read_all().size(),
+            static_cast<std::size_t>(kWriters * kPerWriter * kUpdates));
+}
+
 }  // namespace
 }  // namespace graphulo::nosql

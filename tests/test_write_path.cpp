@@ -491,6 +491,70 @@ TEST(FlushEarlyOut, MincStackDroppingEverythingInstallsNoFile) {
 }
 
 // ---------------------------------------------------------------------------
+// Memtable pins
+
+// One writer inserts while a reader, without any lock, pins the same
+// memtable and walks it again and again. Keys go in scrambled order, so
+// new entries land before, between and after the ones a pin sees.
+TEST(MemtablePin, ReaderDuringInserts) {
+  constexpr std::uint64_t kKeys = 100000;
+  const auto key_of = [](std::uint64_t i) {
+    return util::zero_pad((i * 7919) % kKeys, 6);  // a permutation
+  };
+  const auto mem = std::make_shared<Memtable>();
+  std::atomic<bool> done{false};
+  std::atomic<bool> pinned_midway{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      // Halfway, wait for the reader to pin: some pin is then sure to be
+      // walked while the second half goes in.
+      while (i == kKeys / 2 && !pinned_midway.load()) {
+        std::this_thread::yield();
+      }
+      Mutation m(key_of(i));
+      m.put("f", "q", std::to_string(i));
+      mem->apply(m, static_cast<Timestamp>(i + 1));
+    }
+    done.store(true);
+  });
+
+  std::size_t partial_pins = 0;
+  std::size_t violations = 0;
+  std::uint64_t probe = 0;
+  bool last_round = false;
+  while (!last_round) {
+    last_round = done.load();
+    const MemtablePin pin = mem->pin();
+    if (pin.seq > 0 && pin.seq < kKeys) {
+      ++partial_pins;
+      pinned_midway.store(true);
+    }
+    const auto it = pin.iterator();
+    // Exactly the pinned prefix: seq distinct rows in ascending order,
+    // each written by one of the first seq mutations.
+    const auto cells = drain(*it, Range::all());
+    if (cells.size() != pin.seq) ++violations;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const std::uint64_t i = std::stoull(cells[c].value);
+      if (i >= pin.seq || key_of(i) != cells[c].key.row) ++violations;
+      if (c > 0 && !(cells[c - 1].key.row < cells[c].key.row)) ++violations;
+    }
+    // A point seek inside the prefix finds its one entry.
+    if (pin.seq > 0) {
+      probe = (probe + 104729) % pin.seq;
+      const auto point = drain(*it, Range::exact_row(key_of(probe)));
+      if (point.size() != 1 || point[0].value != std::to_string(probe)) {
+        ++violations;
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(partial_pins, 0u);
+  EXPECT_EQ(mem->pin().seq, kKeys);
+}
+
+// ---------------------------------------------------------------------------
 // Table lifetime
 
 TEST(TableLifetime, DeleteTableWaitsForQueuedFlush) {
@@ -529,6 +593,26 @@ TEST(TableLifetime, DeleteTableWaitsForQueuedFlush) {
   releaser.join();
   sched->drain();
   EXPECT_FALSE(db.table_exists("t"));
+}
+
+// A snapshot handle reads its RFiles through the table's block cache:
+// it must keep that cache alive after the table is dropped.
+TEST(TableLifetime, SnapshotScansAfterDeleteOfCachedTable) {
+  Instance db(1);
+  TableConfig cfg;
+  cfg.rfile.cache_bytes = 1 << 20;
+  db.create_table("t", cfg);
+  for (int i = 0; i < 20; ++i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+  db.flush("t");  // the cut's cells live in an RFile read through the cache
+  auto snap = db.open_snapshot("t");
+  db.delete_table("t");
+  Scanner pinned(db, "t");
+  pinned.set_snapshot(snap);
+  EXPECT_EQ(pinned.read_all().size(), 20u);
 }
 
 TEST(TableLifetime, RetiredTabletsAreFreed) {
