@@ -99,9 +99,10 @@ IngestPoint run_ingest_point(int writers, nosql::WalSyncMode mode,
   std::remove(wal_path.c_str());
   nosql::TableConfig cfg;
   cfg.flush_entries = std::max<std::size_t>(1000, total_cells / 8);
-  cfg.wal.sync_mode = mode;
   cfg.rfile.cache_bytes = cache_on ? cache_bytes : 0;
-  db.attach_wal(std::make_shared<nosql::WriteAheadLog>(wal_path, cfg.wal));
+  nosql::WalOptions wal_opts;
+  wal_opts.sync_mode = mode;
+  db.attach_wal(std::make_shared<nosql::WriteAheadLog>(wal_path, wal_opts));
   auto sched = std::make_shared<nosql::CompactionScheduler>(2);
   db.attach_compaction_scheduler(sched);
   db.create_table("t", cfg);

@@ -14,35 +14,18 @@ namespace graphulo::core {
 using nosql::decode_double;
 using nosql::encode_double;
 
-namespace {
-
-/// Attaches a one-shot majc-scope iterator, forces a full compaction so
-/// it rewrites every tablet, then detaches it.
-void compact_with_iterator(nosql::Instance& db, const std::string& table,
-                           nosql::IteratorSetting setting) {
-  auto& cfg = db.table_config(table);
-  setting.scopes = nosql::kMajcScope;
-  const std::string name = setting.name;
-  cfg.attach_iterator(std::move(setting));
-  db.flush(table);
-  db.compact(table);
-  cfg.remove_iterator(name);
-}
-
-}  // namespace
-
 void table_apply(nosql::Instance& db, const std::string& table,
                  const std::function<double(double)>& fn) {
-  compact_with_iterator(
-      db, table,
-      {50, "one-shot-apply", nosql::kMajcScope, [fn](nosql::IterPtr src) {
-         return std::make_unique<nosql::TransformIterator>(
-             std::move(src),
-             [fn](const nosql::Key&, const nosql::Value& v) -> nosql::Value {
-               const auto d = decode_double(v);
-               return d ? encode_double(fn(*d)) : v;
-             });
-       }});
+  db.compact(
+      table,
+      {{50, "one-shot-apply", nosql::kMajcScope, [fn](nosql::IterPtr src) {
+          return std::make_unique<nosql::TransformIterator>(
+              std::move(src),
+              [fn](const nosql::Key&, const nosql::Value& v) -> nosql::Value {
+                const auto d = decode_double(v);
+                return d ? encode_double(fn(*d)) : v;
+              });
+        }}});
   // Transformed values equal to 0 are semantically sparse zeros; prune.
   table_filter(db, table,
                [](const nosql::Key&, double v) { return v != 0.0; });
@@ -54,15 +37,17 @@ void table_scale(nosql::Instance& db, const std::string& table, double alpha) {
 
 void table_filter(nosql::Instance& db, const std::string& table,
                   const std::function<bool(const nosql::Key&, double)>& keep) {
-  compact_with_iterator(
-      db, table,
-      {50, "one-shot-filter", nosql::kMajcScope, [keep](nosql::IterPtr src) {
-         return std::make_unique<nosql::FilterIterator>(
-             std::move(src), [keep](const nosql::Key& k, const nosql::Value& v) {
-               const auto d = decode_double(v);
-               return keep(k, d ? *d : std::numeric_limits<double>::quiet_NaN());
-             });
-       }});
+  db.compact(
+      table,
+      {{50, "one-shot-filter", nosql::kMajcScope, [keep](nosql::IterPtr src) {
+          return std::make_unique<nosql::FilterIterator>(
+              std::move(src),
+              [keep](const nosql::Key& k, const nosql::Value& v) {
+                const auto d = decode_double(v);
+                return keep(k,
+                            d ? *d : std::numeric_limits<double>::quiet_NaN());
+              });
+        }}});
 }
 
 double table_reduce(nosql::Instance& db, const std::string& table,

@@ -1,8 +1,9 @@
 #pragma once
 // Table-scope GraphBLAS kernels: Apply, Scale, Reduce, SpEWiseX and
 // filtering executed against tables through the iterator machinery
-// (attach at compaction scope -> compact -> detach for in-place
-// rewrites; per-tablet scans for reductions). These are the Graphulo
+// (in-place rewrites pass a one-shot iterator to Instance::compact,
+// which runs it in that compaction only and never touches the table's
+// config; per-tablet scans for reductions). These are the Graphulo
 // counterparts of the kernels Section III composes.
 
 #include <functional>

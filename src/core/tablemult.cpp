@@ -57,7 +57,7 @@ bool is_sum_table_config(const nosql::TableConfig& cfg) {
 void create_sum_table(nosql::Instance& db, const std::string& table) {
   if (!db.table_exists(table)) {
     db.create_table(table, sum_table_config());
-  } else if (!is_sum_table_config(db.table_config(table))) {
+  } else if (!is_sum_table_config(*db.table_config(table))) {
     throw std::invalid_argument(
         "table '" + table +
         "' exists without the summing combiner of sum_table_config(); "

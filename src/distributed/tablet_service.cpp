@@ -82,12 +82,10 @@ RpcServer::Response TabletService::handle(
 }
 
 std::shared_ptr<nosql::AdmissionSession> TabletService::write_session_for(
-    const std::string& table) {
-  nosql::AdmissionController* controller = db_.admission(table);
-  if (controller == nullptr) return nullptr;
+    const std::string& table, const nosql::AdmissionController& controller) {
   std::lock_guard lock(mutex_);
   auto& session = write_sessions_[table];
-  if (!session) session = controller->make_session();
+  if (!session) session = controller.make_session();
   return session;
 }
 
@@ -101,9 +99,9 @@ RpcServer::Response TabletService::handle_write_batch(
   // Admission is charged for the whole batch up front: a shed batch is
   // rejected before any of it applies, and the client's resend dedups
   // cleanly either way.
-  if (auto session = write_session_for(req.table)) {
-    db_.admission(req.table)->admit_write(*session,
-                                          req.mutations.size());
+  if (const auto controller = db_.admission(req.table)) {
+    controller->admit_write(*write_session_for(req.table, *controller),
+                            req.mutations.size());
   }
 
   const std::string stream_key = req.writer_id + '\0' + req.table;
@@ -183,7 +181,7 @@ RpcServer::Response TabletService::handle_scan_open(
   // The scan slot is held for the lease's whole life (RAII ticket), so
   // max_inflight_scans bounds concurrent remote scans exactly like
   // local ones; a shed open throws OverloadedError -> kOverloaded.
-  if (auto* controller = db_.admission(req.table)) {
+  if (const auto controller = db_.admission(req.table)) {
     lease->ticket = controller->admit_scan(nullptr, deadline);
   }
   lease->snapshot = db_.open_snapshot(req.table);
@@ -273,7 +271,7 @@ RpcServer::Response TabletService::handle_ensure_table(
   }
   if (db_.table_exists(req.table)) {
     if (req.preset == "sum" &&
-        !core::is_sum_table_config(db_.table_config(req.table))) {
+        !core::is_sum_table_config(*db_.table_config(req.table))) {
       return {Status::kBadRequest,
               "table " + req.table + " exists without the sum combiner"};
     }

@@ -125,9 +125,10 @@ class TabletService {
   rpc::RpcServer::Response handle_compact_table(const std::string& body);
   rpc::RpcServer::Response handle_status();
 
-  /// Shared admission session for `table` (created on first use).
+  /// Shared admission session for `table` (created on first use from
+  /// the table's `controller`).
   std::shared_ptr<nosql::AdmissionSession> write_session_for(
-      const std::string& table);
+      const std::string& table, const nosql::AdmissionController& controller);
 
   void sweep_loop();
 

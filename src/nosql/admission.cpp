@@ -98,10 +98,9 @@ std::optional<double> charge_bucket(std::mutex& mutex, double& tokens,
 
 }  // namespace
 
-AdmissionSession::AdmissionSession(const AdmissionConfig* config)
-    : config_(config),
-      scan_tokens_(config->scan_burst),
-      write_tokens_(config->write_burst),
+AdmissionSession::AdmissionSession(const AdmissionConfig& config)
+    : scan_tokens_(config.scan_burst),
+      write_tokens_(config.write_burst),
       scan_refill_(Clock::now()),
       write_refill_(Clock::now()) {}
 
@@ -137,7 +136,7 @@ AdmissionController::ScanTicket AdmissionController::admit_scan(
 
   if (cfg.max_inflight_scans == 0) {
     scans_admitted_total().inc();
-    return ScanTicket(nullptr);
+    return ScanTicket();
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -159,7 +158,7 @@ AdmissionController::ScanTicket AdmissionController::admit_scan(
   lock.unlock();
   scans_inflight_gauge().add(1);
   scans_admitted_total().inc();
-  return ScanTicket(this);
+  return ScanTicket(shared_from_this());
 }
 
 void AdmissionController::admit_write(AdmissionSession& session,
@@ -201,7 +200,7 @@ void AdmissionController::release_scan() noexcept {
 void AdmissionController::ScanTicket::release() noexcept {
   if (ctrl_ != nullptr) {
     ctrl_->release_scan();
-    ctrl_ = nullptr;
+    ctrl_.reset();
   }
 }
 

@@ -6,12 +6,14 @@
 //
 // Model: every Table owns one AdmissionController driven by its
 // TableConfig::admission knobs (all zero = everything admitted, zero
-// cost). Scans take a ScanTicket before building their stacks; the
-// ticket is RAII and bounds the number of concurrently executing scan
-// operations. Clients (Scanner, BatchScanner, BatchWriter) each carry an
-// AdmissionSession whose token buckets meter their individual rate, so
-// one chatty client saturates its own bucket before it can crowd out
-// the rest.
+// cost). The controller shares the table's config, and writers and
+// scan tickets share the controller, so a client that outlives
+// delete_table still meters against live state. Scans take a ScanTicket
+// before building their stacks; the ticket is RAII and bounds the
+// number of concurrently executing scan operations. Clients (Scanner,
+// BatchScanner, BatchWriter) each carry an AdmissionSession whose token
+// buckets meter their individual rate, so one chatty client saturates
+// its own bucket before it can crowd out the rest.
 //
 // Overload surfaces as a TYPED error: OverloadedError derives from
 // util::TransientError, so util::with_retries (and therefore
@@ -83,12 +85,12 @@ struct AdmissionConfig {
 /// its rate.
 class AdmissionSession {
  public:
-  explicit AdmissionSession(const AdmissionConfig* config);
+  /// Starts both buckets full (`config`'s bursts).
+  explicit AdmissionSession(const AdmissionConfig& config);
 
  private:
   friend class AdmissionController;
 
-  const AdmissionConfig* config_;
   std::mutex mutex_;
   double scan_tokens_;
   double write_tokens_;
@@ -96,13 +98,13 @@ class AdmissionSession {
   std::chrono::steady_clock::time_point write_refill_;
 };
 
-/// The per-table admission gate. `config` must outlive the controller
-/// (it lives inside the owning Table's TableConfig, same contract as
-/// every other config consumer).
-class AdmissionController {
+/// The per-table admission gate, owned by shared_ptr (scan tickets
+/// share it). `config` is the table's, shared with it.
+class AdmissionController
+    : public std::enable_shared_from_this<AdmissionController> {
  public:
-  explicit AdmissionController(const AdmissionConfig* config)
-      : config_(config) {}
+  explicit AdmissionController(std::shared_ptr<const AdmissionConfig> config)
+      : config_(std::move(config)) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -112,14 +114,11 @@ class AdmissionController {
   class ScanTicket {
    public:
     ScanTicket() = default;
-    ScanTicket(ScanTicket&& other) noexcept : ctrl_(other.ctrl_) {
-      other.ctrl_ = nullptr;
-    }
+    ScanTicket(ScanTicket&& other) noexcept = default;
     ScanTicket& operator=(ScanTicket&& other) noexcept {
       if (this != &other) {
         release();
-        ctrl_ = other.ctrl_;
-        other.ctrl_ = nullptr;
+        ctrl_ = std::move(other.ctrl_);
       }
       return *this;
     }
@@ -128,10 +127,11 @@ class AdmissionController {
 
    private:
     friend class AdmissionController;
-    explicit ScanTicket(AdmissionController* ctrl) : ctrl_(ctrl) {}
+    explicit ScanTicket(std::shared_ptr<AdmissionController> ctrl)
+        : ctrl_(std::move(ctrl)) {}
     void release() noexcept;
 
-    AdmissionController* ctrl_ = nullptr;
+    std::shared_ptr<AdmissionController> ctrl_;
   };
 
   /// Admits one scan operation: charges the session's scan bucket (when
@@ -152,7 +152,7 @@ class AdmissionController {
 
   /// A fresh session with full buckets.
   std::shared_ptr<AdmissionSession> make_session() const {
-    return std::make_shared<AdmissionSession>(config_);
+    return std::make_shared<AdmissionSession>(*config_);
   }
 
   const AdmissionConfig& config() const noexcept { return *config_; }
@@ -164,7 +164,7 @@ class AdmissionController {
  private:
   void release_scan() noexcept;
 
-  const AdmissionConfig* config_;
+  std::shared_ptr<const AdmissionConfig> config_;
   mutable std::mutex mutex_;
   std::condition_variable slot_cv_;
   std::size_t inflight_ = 0;

@@ -117,9 +117,11 @@ class BatchWriter : public MutationSink {
   std::optional<std::string> last_error_;
   ErrorKind last_error_kind_ = ErrorKind::kNone;
   std::shared_ptr<AdmissionSession> session_;
-  /// Resolved once at first flush (stable for the writer's life; a
-  /// dropped-and-recreated table is a new writer's problem).
-  AdmissionController* admission_ = nullptr;
+  /// Resolved once at first flush and shared with the table, so a flush
+  /// after delete_table meters against live state and then fails with
+  /// the missing-table error (a dropped-and-recreated table is a new
+  /// writer's problem).
+  std::shared_ptr<AdmissionController> admission_;
   bool admission_resolved_ = false;
 };
 

@@ -24,9 +24,10 @@ void Instance::create_table(const std::string& name, TableConfig config) {
   if (tables_.count(name)) {
     throw std::invalid_argument("create_table: table exists: " + name);
   }
-  auto table = std::make_unique<Table>(name, std::move(config));
+  auto table = std::make_unique<Table>(
+      name, std::make_shared<const TableConfig>(std::move(config)));
   auto tablet = std::make_shared<Tablet>(TabletExtent{"", ""},
-                                         &table->config(), table->cache(),
+                                         table->config(), table->cache(),
                                          scheduler_.get());
   const int sid = next_server_;
   next_server_ = (next_server_ + 1) % static_cast<int>(servers_.size());
@@ -61,9 +62,9 @@ void Instance::delete_table(const std::string& name) {
     tables_.erase(it);
     scheduler = scheduler_;
   }
-  // A queued background flush or compaction of one of the dropped
-  // tablets still reads the table's config and block cache: let every
-  // such task finish before the table is destroyed. Drained outside the
+  // Let every queued background flush or compaction of the dropped
+  // tablets finish, so none of the table's work outlives the call and
+  // its memory is freed when the last handle goes. Drained outside the
   // catalog lock, so other tables keep serving meanwhile.
   if (scheduler) scheduler->drain();
 }
@@ -84,7 +85,7 @@ void Instance::clone_table(const std::string& source,
   for (std::size_t i = 0; i < src.tablets().size(); ++i) {
     const auto& src_tablet = src.tablets()[i];
     auto tablet = std::make_shared<Tablet>(src_tablet->extent(),
-                                           &table->config(), table->cache(),
+                                           table->config(), table->cache(),
                                            scheduler_.get());
     auto stack = src_tablet->raw_stack();
     for (auto& cell : drain(*stack, Range::all())) {
@@ -141,7 +142,8 @@ const Table& Instance::get_table(const std::string& name) const {
   return *it->second;
 }
 
-TableConfig& Instance::table_config(const std::string& name) {
+std::shared_ptr<const TableConfig> Instance::table_config(
+    const std::string& name) const {
   std::shared_lock lock(catalog_mutex_);
   return get_table(name).config();
 }
@@ -173,7 +175,7 @@ void Instance::add_splits(const std::string& name,
   std::string prev;
   auto add_tablet = [&](const std::string& lo, const std::string& hi) {
     auto tablet = std::make_shared<Tablet>(TabletExtent{lo, hi},
-                                           &table.config(), table.cache(),
+                                           table.config(), table.cache(),
                                            scheduler_.get());
     const int sid = next_server_;
     next_server_ = (next_server_ + 1) % static_cast<int>(servers_.size());
@@ -339,11 +341,12 @@ void Instance::flush(const std::string& name) {
   }
 }
 
-void Instance::compact(const std::string& name) {
+void Instance::compact(const std::string& name,
+                       const std::vector<IteratorSetting>& once) {
   std::shared_lock lock(catalog_mutex_);
   for (const auto& t : get_table(name).tablets_) {
     util::with_retries("Instance::compact", retry_policy_,
-                       [&] { t->major_compact(); });
+                       [&] { t->major_compact(once); });
   }
 }
 
@@ -380,10 +383,11 @@ std::shared_ptr<const Snapshot> Instance::open_snapshot(
   return std::make_shared<const Snapshot>(name, std::move(cuts));
 }
 
-AdmissionController* Instance::admission(const std::string& name) const {
+std::shared_ptr<AdmissionController> Instance::admission(
+    const std::string& name) const {
   std::shared_lock lock(catalog_mutex_);
   const auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second->admission();
+  return it == tables_.end() ? nullptr : it->second->admission();
 }
 
 std::size_t recover_from_wal(Instance& db, const std::string& path,

@@ -27,26 +27,30 @@
 namespace graphulo::nosql {
 
 /// One table: config + tablets sorted by extent, each assigned to a
-/// tablet server round-robin. When the config asks for RFile block
-/// caching (rfile.cache_bytes > 0) the table has one BlockCache that
-/// every tablet's file iterators read through; the table shares it with
-/// its tablets and their snapshots, so an open snapshot keeps it alive
-/// after delete_table.
+/// tablet server round-robin. The config is immutable from
+/// create_table on. When it asks for RFile block caching
+/// (rfile.cache_bytes > 0) the table has one BlockCache that every
+/// tablet's file iterators read through. The table shares its config
+/// and cache with its tablets, their snapshots and every scan stack,
+/// and its admission controller with its clients, so each of those
+/// stays usable after delete_table.
 class Table {
  public:
-  Table(std::string name, TableConfig config)
+  Table(std::string name, std::shared_ptr<const TableConfig> config)
       : name_(std::move(name)),
-        config_(std::make_unique<TableConfig>(std::move(config))),
-        admission_(
-            std::make_unique<AdmissionController>(&config_->admission)) {
+        config_(std::move(config)),
+        admission_(std::make_shared<AdmissionController>(
+            std::shared_ptr<const AdmissionConfig>(config_,
+                                                   &config_->admission))) {
     if (config_->rfile.cache_bytes > 0) {
       cache_ = std::make_shared<BlockCache>(config_->rfile.cache_bytes);
     }
   }
 
   const std::string& name() const noexcept { return name_; }
-  TableConfig& config() noexcept { return *config_; }
-  const TableConfig& config() const noexcept { return *config_; }
+  const std::shared_ptr<const TableConfig>& config() const noexcept {
+    return config_;
+  }
 
   /// Tablets in extent order.
   const std::vector<std::shared_ptr<Tablet>>& tablets() const noexcept {
@@ -58,15 +62,16 @@ class Table {
 
   /// The table's admission gate (always present; a no-op with default
   /// AdmissionConfig knobs).
-  AdmissionController& admission() const noexcept { return *admission_; }
+  const std::shared_ptr<AdmissionController>& admission() const noexcept {
+    return admission_;
+  }
 
  private:
   friend class Instance;
 
   std::string name_;
-  std::unique_ptr<TableConfig> config_;  // stable address for tablets
-  /// Stable address: Scanner/BatchWriter hold the pointer across calls.
-  std::unique_ptr<AdmissionController> admission_;
+  std::shared_ptr<const TableConfig> config_;
+  std::shared_ptr<AdmissionController> admission_;
   std::shared_ptr<BlockCache> cache_;
   std::vector<std::shared_ptr<Tablet>> tablets_;
   std::vector<int> tablet_server_of_;  ///< parallel to tablets_
@@ -79,26 +84,33 @@ class Instance {
 
   // -- catalog ------------------------------------------------------------
 
-  /// Creates a table with one tablet covering all rows. Throws if the
-  /// name exists.
+  /// Creates a table with one tablet covering all rows. `config` is
+  /// frozen here: attach iterators and set knobs before the call.
+  /// Throws if the name exists.
   void create_table(const std::string& name, TableConfig config = {});
 
-  /// Drops a table. Throws if missing.
+  /// Drops a table once its queued background work has run. Tablet
+  /// handles, snapshots, scan stacks and writers that outlive the drop
+  /// share the config, block cache and admission controller they read.
+  /// Throws if missing.
   void delete_table(const std::string& name);
 
   bool table_exists(const std::string& name) const;
   std::vector<std::string> table_names() const;
 
-  /// Clones `source` into a new table `target`: same config, same
-  /// splits, same data (versions and delete markers preserved). Like
-  /// Accumulo's clone, the copy is independent afterwards. Journaled to
-  /// the WAL (kCloneTable) when one is attached, so clones survive
-  /// recovery; the clone's iterator settings, like every table's, are
-  /// code-side and must be reattached after recovery.
+  /// Clones `source` into a new table `target`: the same (shared,
+  /// immutable) config, same splits, same data (versions and delete
+  /// markers preserved). Like Accumulo's clone, the copy's data is
+  /// independent afterwards. Journaled to the WAL (kCloneTable) when one
+  /// is attached, so clones survive recovery; the clone's iterator
+  /// settings, like every table's, are code-side and must be reattached
+  /// after recovery.
   void clone_table(const std::string& source, const std::string& target);
 
-  /// Mutable table config (attach iterators before/while writing).
-  TableConfig& table_config(const std::string& name);
+  /// The table's immutable config, shared. Throws if the table is
+  /// missing.
+  std::shared_ptr<const TableConfig> table_config(
+      const std::string& name) const;
 
   // -- splits -------------------------------------------------------------
 
@@ -202,9 +214,13 @@ class Instance {
   /// per-tablet failures are retried with backoff.
   void flush(const std::string& name);
 
-  /// Major-compacts every tablet. Transient per-tablet failures are
-  /// retried with backoff.
-  void compact(const std::string& name);
+  /// Major-compacts every tablet (each flushes first). The iterators in
+  /// `once` run in these compactions' majc-scope stacks only, merged
+  /// into the table's by priority: Accumulo's one-time compaction
+  /// iterators, as table_apply and table_filter use them. Transient
+  /// per-tablet failures are retried with backoff.
+  void compact(const std::string& name,
+               const std::vector<IteratorSetting>& once = {});
 
   // -- reads --------------------------------------------------------------
 
@@ -221,8 +237,10 @@ class Instance {
   /// missing.
   std::shared_ptr<const Snapshot> open_snapshot(const std::string& name) const;
 
-  /// The table's admission gate; nullptr when the table is missing.
-  AdmissionController* admission(const std::string& name) const;
+  /// The table's admission gate, shared so a client may keep it across
+  /// calls; nullptr when the table is missing.
+  std::shared_ptr<AdmissionController> admission(
+      const std::string& name) const;
 
   // -- introspection -------------------------------------------------------
 

@@ -67,10 +67,10 @@ std::size_t MergeIterator::next_block(CellBlock& out, std::size_t max) {
 }
 
 LevelIterator::LevelIterator(
-    std::vector<FileMeta> files, BlockCache* cache,
+    std::vector<FileMeta> files, std::shared_ptr<BlockCache> cache,
     std::shared_ptr<std::atomic<std::uint64_t>> consulted)
     : files_(std::move(files)),
-      cache_(cache),
+      cache_(std::move(cache)),
       consulted_(std::move(consulted)) {}
 
 void LevelIterator::seek(const Range& range) {
@@ -96,7 +96,7 @@ void LevelIterator::open_from(std::size_t idx) {
     if (range_.is_past_end(m.first_key)) break;
     if (!m.file->may_intersect(range_)) continue;  // bounds prune, free
     if (consulted_) consulted_->fetch_add(1, std::memory_order_relaxed);
-    IterPtr it = m.file->iterator(cache_);
+    IterPtr it = m.file->iterator(cache_.get());
     it->seek(range_);
     if (it->has_top()) {
       current_ = std::move(it);

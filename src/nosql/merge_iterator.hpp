@@ -2,7 +2,9 @@
 // Heap-merge of several sorted sources into one sorted stream — the
 // bottom of every tablet scan stack (pinned memtables + each immutable
 // file) and of every compaction — plus the level iterator that walks
-// one sorted run of non-overlapping files as a single lazy source.
+// one sorted run of non-overlapping files as a single lazy source. A
+// level iterator shares its table's block cache, so a scan stack stays
+// readable after the table, tablet or snapshot it came from is gone.
 
 #include <atomic>
 #include <memory>
@@ -56,11 +58,13 @@ class MergeIterator : public SortedKVIterator {
 class LevelIterator : public SortedKVIterator {
  public:
   /// `files` must be in key order with disjoint ranges (L1+ levels) or
-  /// a single file (L0 usage). `consulted`, when set, is incremented
+  /// a single file (L0 usage). Files are read through `cache` (null =
+  /// no block cache). `consulted`, when set, is incremented
   /// once per file actually opened during this iterator's lifetime —
   /// the read-amplification probe behind the scan.files_consulted
   /// histogram.
-  LevelIterator(std::vector<FileMeta> files, BlockCache* cache,
+  LevelIterator(std::vector<FileMeta> files,
+                std::shared_ptr<BlockCache> cache,
                 std::shared_ptr<std::atomic<std::uint64_t>> consulted);
 
   void seek(const Range& range) override;
@@ -77,7 +81,7 @@ class LevelIterator : public SortedKVIterator {
   void open_from(std::size_t idx);
 
   std::vector<FileMeta> files_;
-  BlockCache* cache_;
+  std::shared_ptr<BlockCache> cache_;
   std::shared_ptr<std::atomic<std::uint64_t>> consulted_;
   Range range_;
   std::size_t index_ = 0;  ///< file backing current_ (files_.size() = done)

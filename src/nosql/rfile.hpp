@@ -82,7 +82,8 @@ class RFile : public std::enable_shared_from_this<RFile> {
   /// `cache` (see nosql/block_cache.hpp). `cache == nullptr` behaves
   /// exactly like iterator(). The cache is decode-through: pins hold
   /// DECODED cell blocks (hot blocks never re-decode) charged at their
-  /// encoded byte size.
+  /// encoded byte size. The iterator does not own `cache`; in a scan
+  /// stack its LevelIterator shares it.
   IterPtr iterator(BlockCache* cache) const;
 
   /// Process-unique id of this file, the cache key namespace.

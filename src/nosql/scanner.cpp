@@ -83,7 +83,7 @@ AdmissionController::ScanTicket admit(Instance& instance,
                                       const std::string& table,
                                       std::shared_ptr<AdmissionSession>& session,
                                       const ScanDeadline& deadline) {
-  AdmissionController* ctrl = instance.admission(table);
+  const auto ctrl = instance.admission(table);
   if (!ctrl) return {};
   if (!session) session = ctrl->make_session();
   return ctrl->admit_scan(session.get(), deadline);

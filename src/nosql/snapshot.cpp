@@ -44,7 +44,7 @@ std::shared_ptr<std::atomic<std::uint64_t>> make_consulted_probe() {
 }
 
 IterPtr merge_pinned_sources(
-    const PinnedSources& sources, BlockCache* cache,
+    const PinnedSources& sources, const std::shared_ptr<BlockCache>& cache,
     std::shared_ptr<std::atomic<std::uint64_t>> consulted) {
   const auto& v = sources.version;
   static const std::vector<FileMeta> kNoFiles;
@@ -93,7 +93,8 @@ IterPtr apply_scope_iterators(IterPtr source,
   return source;
 }
 
-IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
+IterPtr read_stack(const PinnedSources& sources,
+                   const std::shared_ptr<BlockCache>& cache,
                    const TableConfig* config) {
   if (!config) return merge_pinned_sources(sources, cache, nullptr);
   IterPtr stack = merge_pinned_sources(sources, cache, make_consulted_probe());
@@ -108,7 +109,7 @@ IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
 
 TabletSnapshot::TabletSnapshot(TabletExtent extent, PinnedSources sources,
                                std::shared_ptr<BlockCache> cache,
-                               TableConfig config)
+                               std::shared_ptr<const TableConfig> config)
     : extent_(std::move(extent)),
       sources_(std::move(sources)),
       cache_(std::move(cache)),

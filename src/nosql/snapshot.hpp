@@ -8,7 +8,8 @@
 // The cut is a set of pins, taken in O(1) under the tablet lock: the
 // active memtable together with its mutation count (a MemtablePin,
 // memtable.hpp), each frozen memtable the same way, the current
-// Version, plus the table config and block cache they are read with.
+// Version, plus the table's immutable config and block cache they are
+// read with, both shared rather than copied.
 // Writers keep inserting into the pinned active memtable; a reader
 // skips every entry newer than its count, so it sees whole mutations
 // only and exactly those applied before the pin. Readers never consult
@@ -19,10 +20,11 @@
 //
 // What an open handle costs is memory: it keeps its cut's RFiles and
 // memtables alive (arenas included), including ones a later compaction
-// or flush has retired, until the handle is destroyed. A pinned active
-// memtable also keeps growing with writes the handle cannot see, until
-// the tablet freezes or flushes it. Close handles promptly; distributed
-// scan leases bound an abandoned one through their TTL.
+// or flush has retired, until the handle and every scan stack built
+// from it are destroyed. A pinned active memtable also keeps growing
+// with writes the handle cannot see, until the tablet freezes or
+// flushes it. Close handles promptly; distributed scan leases bound an
+// abandoned one through their TTL.
 
 #include <cstdint>
 #include <memory>
@@ -55,12 +57,15 @@ struct PinnedSources {
 /// view", shared by live tablet scans and snapshot scans. Merges newest
 /// source first: memtable, then frozen memtables and L0 files
 /// interleaved by data seq, then one seek-pruned LevelIterator per
-/// sorted level. With `config` the merge is resolved for reading:
-/// deletes -> versioning -> the config's scan-scope iterators, and the
-/// files actually opened are counted into the scan.files_consulted
-/// histogram when the stack dies. Without it (nullptr) the raw merge is
-/// returned, versions and delete markers included (diagnostics, split).
-IterPtr read_stack(const PinnedSources& sources, BlockCache* cache,
+/// sorted level, each sharing `cache` (null = no block cache). With
+/// `config` the merge is resolved for reading: deletes -> versioning ->
+/// the config's scan-scope iterators, and the files actually opened are
+/// counted into the scan.files_consulted histogram when the stack dies.
+/// Without it (nullptr) the raw merge is returned, versions and delete
+/// markers included (diagnostics, split). The stack owns everything it
+/// reads, so it may outlive the tablet or handle it was built from.
+IterPtr read_stack(const PinnedSources& sources,
+                   const std::shared_ptr<BlockCache>& cache,
                    const TableConfig* config);
 
 /// Wraps `source` with every iterator in `settings` matching `scope`,
@@ -70,37 +75,34 @@ IterPtr apply_scope_iterators(IterPtr source,
                               unsigned scope);
 
 /// One tablet's pinned cut, from Tablet::open_snapshot(): a
-/// self-contained value holding the cut's sources and the table config
-/// and block cache captured with them, and no reference to the tablet,
-/// so it stays readable after its table is deleted. Immutable after
-/// open and safe to share across scan threads; each scan_stack() call
-/// builds a fresh independent stack, which reads through the handle's
-/// cache and so must not outlive the handle. Open handles are counted
-/// by the snapshot.live gauge.
+/// self-contained value holding the cut's sources and sharing the
+/// table's config and block cache, with no reference to the tablet, so
+/// it stays readable after its table is deleted. Immutable after open
+/// and safe to share across scan threads; each scan_stack() call builds
+/// a fresh independent stack that may outlive the handle. Open handles
+/// are counted by the snapshot.live gauge.
 class TabletSnapshot {
  public:
   TabletSnapshot(TabletExtent extent, PinnedSources sources,
-                 std::shared_ptr<BlockCache> cache, TableConfig config);
+                 std::shared_ptr<BlockCache> cache,
+                 std::shared_ptr<const TableConfig> config);
   ~TabletSnapshot();
   TabletSnapshot(const TabletSnapshot&) = delete;
   TabletSnapshot& operator=(const TabletSnapshot&) = delete;
 
   const TabletExtent& extent() const noexcept { return extent_; }
 
-  /// Full scan stack over the pinned cut (read_stack with the captured
+  /// Full scan stack over the pinned cut (read_stack with the table's
   /// config).
   IterPtr scan_stack() const {
-    return read_stack(sources_, cache_.get(), &config_);
+    return read_stack(sources_, cache_, config_.get());
   }
 
  private:
   TabletExtent extent_;
   PinnedSources sources_;
   std::shared_ptr<BlockCache> cache_;
-  /// Captured at open so the cut's read semantics are as stable as its
-  /// data (a later attach_iterator must not change what an open
-  /// snapshot returns).
-  TableConfig config_;
+  std::shared_ptr<const TableConfig> config_;
 };
 
 /// A whole-table snapshot: one pinned cut per tablet, captured in

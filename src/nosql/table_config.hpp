@@ -1,6 +1,12 @@
 #pragma once
 // Per-table configuration: LSM tuning knobs and attached server-side
 // iterators, mirroring Accumulo's table properties + iterator settings.
+// A config is built before create_table and frozen there: the table
+// holds it as one shared_ptr<const TableConfig> that its tablets,
+// snapshots and background tasks share, so nothing copies it or reads
+// it under a lock. An iterator meant for one compaction only (Accumulo's
+// compact(table, ..., iterators, ...)) is an Instance::compact argument,
+// never a config change.
 
 #include <algorithm>
 #include <functional>
@@ -11,7 +17,6 @@
 #include "nosql/iterator.hpp"
 #include "nosql/rfile.hpp"
 #include "nosql/version_set.hpp"
-#include "nosql/wal_options.hpp"
 
 namespace graphulo::nosql {
 
@@ -33,6 +38,16 @@ struct IteratorSetting {
   std::function<IterPtr(IterPtr)> factory;
 };
 
+/// Inserts `setting` after every iterator of lower or equal priority,
+/// so `stack` stays sorted by priority with ties in insertion order.
+inline void insert_by_priority(std::vector<IteratorSetting>& stack,
+                               IteratorSetting setting) {
+  const auto at = std::upper_bound(
+      stack.begin(), stack.end(), setting.priority,
+      [](int p, const IteratorSetting& s) { return p < s.priority; });
+  stack.insert(at, std::move(setting));
+}
+
 /// Table properties.
 struct TableConfig {
   /// Minor compaction (memtable flush) threshold, in entries.
@@ -43,9 +58,6 @@ struct TableConfig {
   /// CompactionScheduler is attached: writers block (back-pressure)
   /// until a major compaction brings the count back down.
   std::size_t max_tablet_files = 64;
-  /// WAL durability knobs (sync mode, group-commit batch limits) for
-  /// instances whose WriteAheadLog is built from this config.
-  WalOptions wal;
   /// Keep only the newest version of each cell (disable when an attached
   /// combiner needs to see every version).
   bool versioning = true;
@@ -63,19 +75,7 @@ struct TableConfig {
 
   /// Attaches an iterator; keeps the list sorted by priority.
   void attach_iterator(IteratorSetting setting) {
-    iterators.push_back(std::move(setting));
-    std::stable_sort(iterators.begin(), iterators.end(),
-                     [](const IteratorSetting& a, const IteratorSetting& b) {
-                       return a.priority < b.priority;
-                     });
-  }
-
-  /// Removes the iterator with the given name; returns whether found.
-  bool remove_iterator(const std::string& name) {
-    const auto before = iterators.size();
-    std::erase_if(iterators,
-                  [&](const IteratorSetting& s) { return s.name == name; });
-    return iterators.size() != before;
+    insert_by_priority(iterators, std::move(setting));
   }
 };
 

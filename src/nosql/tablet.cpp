@@ -80,19 +80,19 @@ std::uint64_t max_input_seq(const std::vector<FileMeta>& inputs) {
 
 /// Builds the compaction stack over `inputs` (already newest-first) and
 /// drains it. `drop` = bottommost full semantics: deletes resolve and
-/// vanish. Versioning and majc-scope iterators run regardless, exactly
-/// as partial majors always have.
+/// vanish. `config`'s versioning and the majc-scope iterators of
+/// `settings` run regardless, exactly as partial majors always have.
 std::vector<Cell> merge_compaction_inputs(
-    const std::vector<FileMeta>& inputs, bool drop, bool versioning,
-    int max_versions, const std::vector<IteratorSetting>& settings) {
+    const std::vector<FileMeta>& inputs, bool drop, const TableConfig& config,
+    const std::vector<IteratorSetting>& settings) {
   std::vector<IterPtr> children;
   children.reserve(inputs.size());
   for (const FileMeta& m : inputs) children.push_back(m.file->iterator());
   IterPtr stack = std::make_unique<MergeIterator>(std::move(children));
   if (drop) stack = std::make_unique<DeletingIterator>(std::move(stack));
-  if (versioning) {
+  if (config.versioning) {
     stack = std::make_unique<VersioningIterator>(std::move(stack),
-                                                 max_versions);
+                                                 config.max_versions);
   }
   stack = apply_scope_iterators(std::move(stack), settings, kMajcScope);
   return drain_all(*stack);
@@ -194,15 +194,14 @@ void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-std::vector<Cell> Tablet::build_minor_cells(
-    const Memtable& memtable,
-    const std::vector<IteratorSetting>& settings) const {
+std::vector<Cell> Tablet::build_minor_cells(const Memtable& memtable) const {
   // Site fires before any state change: a failed flush leaves memtable
   // and file set exactly as they were.
   util::fault::point(util::fault::sites::kMemtableFlush);
   TRACE_SPAN("tablet.flush");
   IterPtr stack = memtable.pin().iterator();
-  stack = apply_scope_iterators(std::move(stack), settings, kMincScope);
+  stack = apply_scope_iterators(std::move(stack), config_->iterators,
+                                kMincScope);
   return drain_all(*stack);
 }
 
@@ -248,15 +247,13 @@ void Tablet::run_background_minor() {
   std::unique_lock lock(mutex_);
   while (!frozen_.empty()) {
     const FrozenMemtable target = frozen_.back();  // oldest first
-    const auto settings = config_->iterators;      // copied under the lock
-    const RFileOptions rfile_opts = config_->rfile;
     lock.unlock();
     std::shared_ptr<RFile> file;
     bool ok = true;
     try {
-      auto cells = build_minor_cells(*target.memtable, settings);
+      auto cells = build_minor_cells(*target.memtable);
       if (!cells.empty()) {
-        file = RFile::from_sorted(std::move(cells), rfile_opts);
+        file = RFile::from_sorted(std::move(cells), config_->rfile);
       }
     } catch (const std::exception& e) {
       // Contained exactly like an inline threshold flush: the frozen
@@ -300,10 +297,6 @@ void Tablet::run_background_major() {
   // range AND nothing newer is buffered (a frozen memtable may hold a
   // write the markers must still suppress at scan time).
   const bool drop = pick->bottommost && frozen_.empty();
-  const auto settings = config_->iterators;  // copied under the lock
-  const bool versioning = config_->versioning;
-  const int max_versions = config_->max_versions;
-  const RFileOptions rfile_opts = config_->rfile;
   lock.unlock();
 
   std::shared_ptr<RFile> output;
@@ -312,11 +305,11 @@ void Tablet::run_background_major() {
   try {
     TRACE_SPAN("tablet.compact");
     util::fault::point(util::fault::sites::kTabletCompact);
-    auto cells = merge_compaction_inputs(pick->inputs, drop, versioning,
-                                         max_versions, settings);
+    auto cells = merge_compaction_inputs(pick->inputs, drop, *config_,
+                                         config_->iterators);
     out_cells = cells.size();
     if (!cells.empty()) {
-      output = RFile::from_sorted(std::move(cells), rfile_opts);
+      output = RFile::from_sorted(std::move(cells), config_->rfile);
     }
   } catch (const std::exception& e) {
     GRAPHULO_WARN << "Tablet[" << extent_.start_row << "," << extent_.end_row
@@ -365,8 +358,7 @@ void Tablet::run_compaction_locked(const CompactionPick& pick) {
   util::fault::point(util::fault::sites::kTabletCompact);
   // Same drop rule as the background path: bottommost + nothing frozen.
   const bool drop = pick.bottommost && frozen_.empty();
-  auto cells = merge_compaction_inputs(pick.inputs, drop, config_->versioning,
-                                       config_->max_versions,
+  auto cells = merge_compaction_inputs(pick.inputs, drop, *config_,
                                        config_->iterators);
   const std::size_t out_cells = cells.size();
   VersionEdit edit;
@@ -426,7 +418,7 @@ void Tablet::flush_locked() {
   // was never queued) drain here, oldest first, preserving seq order.
   while (!frozen_.empty()) {
     const FrozenMemtable target = frozen_.back();
-    auto cells = build_minor_cells(*target.memtable, config_->iterators);
+    auto cells = build_minor_cells(*target.memtable);
     std::shared_ptr<RFile> file;
     if (!cells.empty()) {
       file = RFile::from_sorted(std::move(cells), config_->rfile);
@@ -435,7 +427,7 @@ void Tablet::flush_locked() {
   }
   if (memtable_->empty()) return;
   const std::uint64_t seq = next_data_seq_;
-  auto cells = build_minor_cells(*memtable_, config_->iterators);
+  auto cells = build_minor_cells(*memtable_);
   if (!cells.empty()) {
     auto file = RFile::from_sorted(std::move(cells), config_->rfile);
     VersionEdit edit;
@@ -453,17 +445,17 @@ void Tablet::flush_locked() {
   state_cv_.notify_all();
 }
 
-void Tablet::major_compact() {
+void Tablet::major_compact(const std::vector<IteratorSetting>& once) {
   std::unique_lock lock(mutex_);
   if (scheduler_) {
     state_cv_.wait(lock,
                    [&] { return !minor_inflight_ && !major_inflight_; });
   }
   flush_locked();
-  major_compact_locked();
+  major_compact_locked(once);
 }
 
-void Tablet::major_compact_locked() {
+void Tablet::major_compact_locked(const std::vector<IteratorSetting>& once) {
   // A single file is still rewritten: one-shot majc-scope iterators
   // (table_apply / table_filter) and delete resolution depend on every
   // cell passing through the compaction stack.
@@ -473,12 +465,12 @@ void Tablet::major_compact_locked() {
   // Before any state change, like the flush site above.
   util::fault::point(util::fault::sites::kTabletCompact);
   const auto inputs = v->all_files();
+  auto settings = config_->iterators;
+  for (const IteratorSetting& s : once) insert_by_priority(settings, s);
   // Full major compaction: every file participates, so deletes resolve
   // and drop, versions collapse, then majc-scope iterators run.
-  auto cells = merge_compaction_inputs(inputs, /*drop=*/true,
-                                       config_->versioning,
-                                       config_->max_versions,
-                                       config_->iterators);
+  auto cells = merge_compaction_inputs(inputs, /*drop=*/true, *config_,
+                                       settings);
   const std::size_t out_cells = cells.size();
   // The single output is bottommost by construction; park it at the
   // deepest occupied level (L1 minimum) so L0 stays clear for fresh
@@ -517,17 +509,17 @@ PinnedSources Tablet::pinned_sources_locked() const {
 std::shared_ptr<TabletSnapshot> Tablet::open_snapshot() const {
   std::lock_guard lock(mutex_);
   return std::make_shared<TabletSnapshot>(extent_, pinned_sources_locked(),
-                                          cache_, *config_);
+                                          cache_, config_);
 }
 
 IterPtr Tablet::scan_stack() const {
   std::lock_guard lock(mutex_);
-  return read_stack(pinned_sources_locked(), cache_.get(), config_);
+  return read_stack(pinned_sources_locked(), cache_, config_.get());
 }
 
 IterPtr Tablet::raw_stack() const {
   std::lock_guard lock(mutex_);
-  return read_stack(pinned_sources_locked(), cache_.get(), nullptr);
+  return read_stack(pinned_sources_locked(), cache_, nullptr);
 }
 
 std::shared_ptr<const Version> Tablet::version() const {

@@ -3,7 +3,10 @@
 // in-memory write buffer (memtable), zero or more frozen (immutable)
 // memtables awaiting flush, and a LEVELED set of immutable sorted files
 // — the LevelDB arrangement grafted onto the Accumulo tablet model.
-// All public methods are thread-safe.
+// All public methods are thread-safe. The tablet shares its table's
+// immutable TableConfig and block cache, so it, its snapshots and its
+// queued background tasks read them without the lock, and a tablet
+// handle stays usable after delete_table.
 //
 // File layout (see version_set.hpp): L0 holds raw memtable flushes
 // whose key ranges may overlap; L1+ hold files with disjoint key
@@ -125,9 +128,9 @@ struct TabletStats {
 
 class Tablet : public std::enable_shared_from_this<Tablet> {
  public:
-  /// `config` must outlive the tablet (owned by the Table). `cache`
-  /// (null = no block cache) is shared with the table and with every
-  /// snapshot opened here. Attaching a `scheduler` requires the
+  /// `config` and `cache` (null = no block cache) are the table's,
+  /// shared with it and with every snapshot and scan stack opened
+  /// here. Attaching a `scheduler` requires the
   /// tablet itself to be owned by a shared_ptr (background tasks keep
   /// it alive via shared_from_this). The scheduler pointer is
   /// NON-OWNING — the attacher (Instance, or a test) keeps it alive
@@ -136,11 +139,11 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// on a scheduler pool thread, and a tablet-owned scheduler ref
   /// would then run the scheduler's destructor on its own worker
   /// (self-join deadlock).
-  Tablet(TabletExtent extent, const TableConfig* config,
+  Tablet(TabletExtent extent, std::shared_ptr<const TableConfig> config,
          std::shared_ptr<BlockCache> cache = nullptr,
          CompactionScheduler* scheduler = nullptr)
       : extent_(std::move(extent)),
-        config_(config),
+        config_(std::move(config)),
         cache_(std::move(cache)),
         scheduler_(scheduler) {}
 
@@ -180,10 +183,12 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
 
   /// Merges ALL files (flushing the memtable first) through the
   /// majc-scope iterator stack into a single file, synchronously.
-  /// Delete markers are dropped (full-major compaction semantics). The
-  /// output lands at the deepest level (L1 minimum). An empty merge
-  /// result installs no file.
-  void major_compact();
+  /// `once` joins that stack for this compaction only, merged into the
+  /// config's iterators by priority (Accumulo's one-time compaction
+  /// iterators). Delete markers are dropped (full-major compaction
+  /// semantics). The output lands at the deepest level (L1 minimum). An
+  /// empty merge result installs no file.
+  void major_compact(const std::vector<IteratorSetting>& once = {});
 
   /// Builds a scan stack over the current cut: read_stack (see
   /// snapshot.hpp) — merge -> deletes -> versioning -> scan-scope
@@ -197,9 +202,9 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   IterPtr raw_stack() const;
 
   /// Opens an MVCC snapshot: pins the current cut (the active memtable
-  /// and its mutation count, the frozen memtables, the file set)
-  /// together with the table config and block cache, in a handle that
-  /// reads nothing of the tablet afterwards. O(1) in the memtable's
+  /// and its mutation count, the frozen memtables, the file set) and
+  /// shares the table config and block cache, in a handle that reads
+  /// nothing of the tablet afterwards. O(1) in the memtable's
   /// size. See snapshot.hpp.
   std::shared_ptr<TabletSnapshot> open_snapshot() const;
 
@@ -245,15 +250,11 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// scheduler, freeze + enqueue with one.
   void maybe_compact_locked();
   void flush_locked();
-  void major_compact_locked();
+  void major_compact_locked(const std::vector<IteratorSetting>& once = {});
   /// Runs the minc-scope stack over one memtable that takes no writes
   /// meanwhile (frozen, or the active one under the lock); fires the
-  /// flush fault site. `settings` is passed in (copied under the lock
-  /// by background callers) so no config read races a concurrent
-  /// attach_iterator.
-  std::vector<Cell> build_minor_cells(
-      const Memtable& memtable,
-      const std::vector<IteratorSetting>& settings) const;
+  /// flush fault site.
+  std::vector<Cell> build_minor_cells(const Memtable& memtable) const;
   /// Moves the active memtable into frozen_ and starts a fresh one
   /// (no-op when empty), and makes sure a background flush is queued.
   /// O(1). Requires scheduler_.
@@ -282,7 +283,7 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   void run_background_major();
 
   TabletExtent extent_;
-  const TableConfig* config_;
+  std::shared_ptr<const TableConfig> config_;  ///< immutable: no lock
   std::shared_ptr<BlockCache> cache_;
   CompactionScheduler* scheduler_ = nullptr;  ///< non-owning
   mutable std::mutex mutex_;

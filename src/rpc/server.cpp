@@ -199,7 +199,9 @@ void RpcServer::serve_connection(Connection* conn) {
       break;
     }
   }
-  conn->socket.close();
+  // Only shut down: stop() may be shutting this socket down from its
+  // thread right now. The fd is closed once this thread is joined.
+  conn->socket.shutdown();
   connections_gauge().add(-1);
   conn->done.store(true, std::memory_order_release);
 }

@@ -8,7 +8,11 @@
 //
 // Threading: one accept thread plus one thread per live connection.
 // stop() shuts down the listener and every connection socket, which
-// wakes the blocked poll()s, then joins all threads. A server set
+// wakes the blocked poll()s, then joins all threads. A connection
+// thread only shuts its own socket down when it ends; the fd is closed
+// after the thread is joined (by stop(), or by the accept loop reaping
+// finished connections), so no fd is closed while another thread may
+// still use it, and stop() never shuts down a reused fd number. A server set
 // draining() answers every request with kShuttingDown (the daemon uses
 // this while it checkpoints on SIGTERM).
 

@@ -224,8 +224,9 @@ TEST(BlockScan, ScannerBatchSizesAgreeOnLiveTable) {
   // batch sizes 1 (legacy path) and 1024 (block path).
   auto run = [](std::size_t batch) {
     Instance db;
-    db.create_table("t");
-    db.table_config("t").max_versions = 2;
+    TableConfig cfg;
+    cfg.max_versions = 2;
+    db.create_table("t", cfg);
     BatchWriter writer(db, "t");
     std::mt19937 rng(777);
     for (int i = 0; i < 400; ++i) {
@@ -453,13 +454,13 @@ TEST(EncodedBlocks, DecodeThroughCacheChargesEncodedBytes) {
 TEST(EncodedBlocks, ScannerAgreesWithPlainTableEndToEnd) {
   auto run = [](bool flush, RFileCompressor comp) {
     Instance db;
-    db.create_table("t");
-    auto& cfg = db.table_config("t");
+    TableConfig cfg;
     cfg.max_versions = 2;
     cfg.flush_entries = 1u << 20;  // only the explicit flushes below
     cfg.rfile.compressor = comp;
     cfg.rfile.index_stride = 32;
     cfg.rfile.cache_bytes = 1 << 20;
+    db.create_table("t", cfg);
     BatchWriter writer(db, "t");
     std::mt19937 rng(424242);
     for (int i = 0; i < 500; ++i) {

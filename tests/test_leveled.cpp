@@ -393,8 +393,8 @@ TEST(LeveledStore, SustainedIngestKeepsPerLevelInvariantsAndBoundsReadAmp) {
 
 TEST(LeveledStore, DeleteMarkersSurvivePartialCompactionWhenKeyIsDeeper) {
   TableConfig cfg;
-  cfg.flush_entries = 1000000;  // manual flushes only
-  cfg.compaction.level0_trigger = 4;
+  cfg.flush_entries = 1;  // every write flushes, then runs the picker
+  cfg.compaction.level0_trigger = 6;  // the sixth flush trips L0 -> L1
   Instance db(1);
   db.create_table("t", cfg);
   const auto tablet = db.tablets_for_range("t", Range::all())[0].first;
@@ -412,25 +412,19 @@ TEST(LeveledStore, DeleteMarkersSurvivePartialCompactionWhenKeyIsDeeper) {
   tablet->restore_files({FileMeta::describe(deep, /*level=*/2, /*seq=*/1)});
   db.advance_clock(1);
 
-  // Delete "k", then pile up enough L0 files to trip the L0 trigger.
+  // Delete "k", then pile up five L0 files, one flush per write.
   Mutation del("k");
   del.put_delete("f", "q");
   db.apply("t", del);
-  db.flush("t");
   for (int f = 0; f < 4; ++f) {
     Mutation m("fill-" + std::to_string(f));
     m.put("f", "q", "v");
     db.apply("t", m);
-    db.flush("t");
   }
-  // Run the picker to completion inline (the threshold path normally
-  // does this; with manual flushes we drive it through a write).
+  // The sixth flush trips the L0 trigger; the picker runs to completion
+  // inline.
   Mutation trigger("fill-z");
   trigger.put("f", "q", "v");
-  {
-    TableConfig& live = db.table_config("t");
-    live.flush_entries = 1;  // next apply flushes + settles the picker
-  }
   db.apply("t", trigger);
 
   const auto v = tablet->version();

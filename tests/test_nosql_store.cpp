@@ -219,7 +219,7 @@ TEST(RFile, ReadRejectsGarbage) {
 TEST(Tablet, FlushMovesDataToFiles) {
   TableConfig cfg;
   cfg.flush_entries = 1000000;  // manual flush only
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   Mutation m("r1");
   m.put("f", "q", "v");
   tablet.apply(m, 1);
@@ -235,7 +235,7 @@ TEST(Tablet, FlushMovesDataToFiles) {
 TEST(Tablet, AutoFlushAtThreshold) {
   TableConfig cfg;
   cfg.flush_entries = 10;
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   for (int i = 0; i < 35; ++i) {
     Mutation m("row" + util::zero_pad(static_cast<std::uint64_t>(i), 3));
     m.put("f", "q", "v");
@@ -249,7 +249,7 @@ TEST(Tablet, AutoFlushAtThreshold) {
 TEST(Tablet, MajorCompactionMergesFilesAndDropsDeletes) {
   TableConfig cfg;
   cfg.flush_entries = 1000000;
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   Mutation put("r");
   put.put("f", "q", "", 1, "old");
   tablet.apply(put, 0);
@@ -271,7 +271,7 @@ TEST(Tablet, MajorCompactionMergesFilesAndDropsDeletes) {
 
 TEST(Tablet, ScanAppliesVersioning) {
   TableConfig cfg;
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   Mutation m1("r");
   m1.put("f", "q", "", 1, "v1");
   Mutation m2("r");
@@ -288,7 +288,7 @@ TEST(Tablet, ScanAppliesVersioning) {
 TEST(Tablet, RewritingOneKeyStaysWithinFlushThreshold) {
   TableConfig cfg;
   cfg.flush_entries = 50;
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   const std::size_t writes = 3 * cfg.flush_entries;
   for (std::size_t i = 0; i < writes; ++i) {
     Mutation m("r");
@@ -306,7 +306,7 @@ TEST(Tablet, RewritingOneKeyStaysWithinFlushThreshold) {
 
 TEST(Tablet, RejectsRowOutsideExtent) {
   TableConfig cfg;
-  Tablet tablet({"m", "t"}, &cfg);
+  Tablet tablet({"m", "t"}, std::make_shared<const TableConfig>(cfg));
   Mutation m("a");
   m.put("f", "q", "v");
   EXPECT_THROW(tablet.apply(m, 1), std::logic_error);

@@ -203,7 +203,7 @@ TEST(SnapshotAdmission, ShedPolicyThrowsTypedOverload) {
   db.create_table("t", std::move(cfg));
   put_row(db, "t", "r", "q", "v");
 
-  auto* ctrl = db.admission("t");
+  const auto ctrl = db.admission("t");
   ASSERT_NE(ctrl, nullptr);
   auto ticket = ctrl->admit_scan();  // occupy the only slot
   EXPECT_EQ(ctrl->inflight_scans(), 1u);
@@ -234,7 +234,7 @@ TEST(SnapshotAdmission, QueuePolicyWaitsForSlot) {
   db.create_table("t", std::move(cfg));
   put_row(db, "t", "r", "q", "v");
 
-  auto* ctrl = db.admission("t");
+  const auto ctrl = db.admission("t");
   auto ticket = std::make_unique<AdmissionController::ScanTicket>(
       ctrl->admit_scan());
   std::thread releaser([&] {
@@ -417,7 +417,7 @@ void run_snapshot_race(bool with_faults) {
   for (int s = 0; s < kScanners; ++s) {
     threads.emplace_back([&, s] {
       std::mt19937 rng(static_cast<unsigned>(1234 + s));
-      while (!stop.load()) {
+      do {  // at least once, even if the writers finish first
         auto snap = db.open_snapshot("t");
         snapshots_taken.fetch_add(1);
         const auto first = snapshot_cells(db, "t", snap);
@@ -439,7 +439,7 @@ void run_snapshot_race(bool with_faults) {
             std::chrono::microseconds(rng() % 2000));
         const auto second = snapshot_cells(db, "t", snap);
         if (flatten(first) != flatten(second)) violations.fetch_add(1);
-      }
+      } while (!stop.load());
     });
   }
 

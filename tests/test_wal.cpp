@@ -309,9 +309,7 @@ TEST(Wal, RoundTripsUnderEverySyncMode) {
     {
       Instance db;
       db.attach_wal(std::make_shared<WriteAheadLog>(path, opts));
-      TableConfig cfg;
-      cfg.wal = opts;
-      db.create_table("t", cfg);
+      db.create_table("t");
       for (int i = 0; i < 40; ++i) {
         Mutation m("r" + util::zero_pad(static_cast<std::uint64_t>(i), 3));
         m.put("f", "q", "v" + std::to_string(i));

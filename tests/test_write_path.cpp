@@ -1,7 +1,8 @@
 // The asynchronous write path: WAL group commit (sync modes and
 // durability), the background flush/compaction scheduler (racing scans,
 // back-pressure, quiesce), the RFile block cache (LRU semantics,
-// counters), and table lifetime (what keeps a tablet alive). Registered
+// counters), one-shot compaction iterators, and table lifetime (what
+// keeps a tablet, its config and its block cache alive). Registered
 // under the `concurrency` ctest label so the TSan build exercises every
 // cross-thread handoff here.
 
@@ -16,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/table_ops.hpp"
+#include "core/table_scan.hpp"
 #include "nosql/nosql.hpp"
 #include "util/strings.hpp"
 
@@ -456,7 +459,7 @@ TEST(BackgroundCompaction, CheckpointQuiescesAndRoundTrips) {
 
 TEST(FlushEarlyOut, EmptyMemtableInstallsNoFile) {
   TableConfig cfg;
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   tablet.flush();  // nothing buffered
   EXPECT_EQ(tablet.stats().file_count, 0u);
   EXPECT_EQ(tablet.stats().minor_compactions, 0u);
@@ -481,7 +484,7 @@ TEST(FlushEarlyOut, MincStackDroppingEverythingInstallsNoFile) {
         std::make_shared<const std::vector<Cell>>());
   };
   cfg.attach_iterator(std::move(drop_all));
-  Tablet tablet({"", ""}, &cfg);
+  Tablet tablet({"", ""}, std::make_shared<const TableConfig>(cfg));
   Mutation m("r");
   m.put("f", "q", "v");
   tablet.apply(m, 1);
@@ -555,6 +558,53 @@ TEST(MemtablePin, ReaderDuringInserts) {
 }
 
 // ---------------------------------------------------------------------------
+// One-shot compaction iterators
+
+// table_scale's iterator belongs to the compaction it rides. Here a
+// background compaction falls due while it runs: three L0 files and two
+// frozen memtables wait behind a held scheduler worker, so the queued
+// flush trips the L0 trigger. That compaction must not scale the cells.
+TEST(TableOps, OneShotIteratorRunsOnlyInItsCompaction) {
+  Instance db(1);
+  TableConfig cfg;
+  cfg.flush_entries = 50;
+  db.create_table("t", cfg);
+  const auto put = [&db](int i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+    m.put("f", "q", encode_double(1.0));
+    db.apply("t", m);
+  };
+  for (int i = 0; i < 150; ++i) put(i);  // three inline flushes
+  auto sched = std::make_shared<CompactionScheduler>(1);
+  db.attach_compaction_scheduler(sched);
+  std::promise<void> gate;
+  ASSERT_TRUE(sched->enqueue(
+      [opened = gate.get_future().share()] { opened.wait(); }));
+  for (int i = 150; i < 250; ++i) put(i);  // two freezes, flush queued
+  const auto stats =
+      db.tablets_for_range("t", Range::all())[0].first->stats();
+  ASSERT_EQ(stats.file_count, 3u);
+  ASSERT_EQ(stats.frozen_memtables, 2u);
+
+  std::jthread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate.set_value();
+  });
+  core::table_scale(db, "t", 2.0);
+  releaser.join();
+  sched->drain();
+
+  Scanner scan(db, "t");
+  const auto cells = scan.read_all();
+  ASSERT_EQ(cells.size(), 250u);
+  std::size_t wrong = 0;
+  for (const auto& c : cells) {
+    if (decode_double(c.value) != 2.0) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u) << "first value " << *decode_double(cells[0].value);
+}
+
+// ---------------------------------------------------------------------------
 // Table lifetime
 
 TEST(TableLifetime, DeleteTableWaitsForQueuedFlush) {
@@ -585,8 +635,8 @@ TEST(TableLifetime, DeleteTableWaitsForQueuedFlush) {
     released.store(true);
     gate.set_value();
   });
-  // The queued flush reads the table's config when it runs: the table
-  // may only be destroyed after it has.
+  // delete_table returns only after the queued flush of its tablet has
+  // run.
   db.delete_table("t");
   EXPECT_TRUE(released.load())
       << "delete_table returned while a flush of its tablet was queued";
@@ -613,6 +663,107 @@ TEST(TableLifetime, SnapshotScansAfterDeleteOfCachedTable) {
   Scanner pinned(db, "t");
   pinned.set_snapshot(snap);
   EXPECT_EQ(pinned.read_all().size(), 20u);
+}
+
+// A tablet handle from tablets_for_range reads with its table's config:
+// it must keep that config alive after the table is dropped.
+TEST(TableLifetime, TabletOutlivesDeletedTable) {
+  Instance db(1);
+  db.create_table("t");
+  for (int i = 0; i < 20; ++i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+  const auto tablet = db.tablets_for_range("t", Range::all())[0].first;
+  db.delete_table("t");
+  const auto snap = tablet->open_snapshot();
+  EXPECT_EQ(drain(*snap->scan_stack(), Range::all()).size(), 20u);
+  EXPECT_EQ(drain(*tablet->scan_stack(), Range::all()).size(), 20u);
+}
+
+// A queued background flush keeps its tablet alive, and the tablet its
+// config, even when the scheduler outlives the instance.
+TEST(TableLifetime, SchedulerOutlivesInstance) {
+  auto sched = std::make_shared<CompactionScheduler>(1);
+  std::promise<void> gate;
+  ASSERT_TRUE(sched->enqueue(
+      [opened = gate.get_future().share()] { opened.wait(); }));
+  std::shared_ptr<Tablet> tablet;
+  {
+    Instance db(1);
+    db.attach_compaction_scheduler(sched);
+    TableConfig cfg;
+    cfg.flush_entries = 4;
+    db.create_table("t", cfg);
+    for (int i = 0; i < 8; ++i) {
+      Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 2));
+      m.put("f", "q", "v");
+      db.apply("t", m);
+    }
+    tablet = db.tablets_for_range("t", Range::all())[0].first;
+    ASSERT_EQ(tablet->stats().frozen_memtables, 2u);
+  }
+  gate.set_value();
+  sched->drain();  // the queued flush runs after its instance is gone
+  EXPECT_EQ(tablet->stats().frozen_memtables, 0u);
+  EXPECT_EQ(tablet->stats().file_count, 2u);
+  EXPECT_EQ(drain(*tablet->scan_stack(), Range::all()).size(), 8u);
+}
+
+// A live table scan reads its RFile blocks through the table's block
+// cache: the scan stack must keep that cache alive after the drop.
+TEST(TableLifetime, TableScanOutlivesDeleteTable) {
+  Instance db(1);
+  TableConfig cfg;
+  cfg.rfile.index_stride = 8;  // many blocks, most read after the drop
+  cfg.rfile.cache_bytes = 1 << 20;
+  db.create_table("t", cfg);
+  for (int i = 0; i < 100; ++i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+  db.flush("t");
+  const auto scan = core::open_table_scan(db, "t");  // seeked: block 0 read
+  db.delete_table("t");
+  std::size_t cells = 0;
+  for (; scan->has_top(); scan->next()) ++cells;
+  EXPECT_EQ(cells, 100u);
+}
+
+// A BatchWriter keeps its table's admission controller: a flush after
+// delete_table fails with the missing-table error.
+TEST(TableLifetime, WriterFlushesAfterDeleteTable) {
+  Instance db(1);
+  db.create_table("t");
+  BatchWriter writer(db, "t");
+  Mutation first("a");
+  first.put("f", "q", "v");
+  writer.add_mutation(std::move(first));
+  writer.flush();  // resolves the table's admission controller
+  Mutation second("b");
+  second.put("f", "q", "v");
+  writer.add_mutation(std::move(second));
+  db.delete_table("t");
+  EXPECT_THROW(writer.flush(), std::invalid_argument);
+  EXPECT_EQ(writer.mutations_written(), 1u);
+  EXPECT_EQ(writer.mutations_pending(), 1u);
+  writer.abandon();
+}
+
+// A scan ticket (as a remote scan lease holds one) keeps its table's
+// admission controller: releasing it after delete_table is safe.
+TEST(TableLifetime, ScanTicketOutlivesDeleteTable) {
+  Instance db(1);
+  TableConfig cfg;
+  cfg.admission.max_inflight_scans = 1;
+  db.create_table("t", cfg);
+  auto ticket = db.admission("t")->admit_scan();
+  ASSERT_TRUE(ticket);
+  db.delete_table("t");
+  ticket = AdmissionController::ScanTicket();  // releases the slot
+  EXPECT_FALSE(ticket);
 }
 
 TEST(TableLifetime, RetiredTabletsAreFreed) {
