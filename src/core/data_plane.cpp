@@ -1,6 +1,8 @@
 #include "core/data_plane.hpp"
 
+#include <atomic>
 #include <map>
+#include <random>
 
 #include "core/table_scan.hpp"
 #include "core/tablemult.hpp"
@@ -34,24 +36,35 @@ class LocalReadView : public TableMultDataPlane::ReadView {
   std::map<std::string, std::shared_ptr<const nosql::Snapshot>> snapshots_;
 };
 
-class LocalWriteSession : public TableMultDataPlane::WriteSession {
+class StreamWriteSession : public TableMultDataPlane::WriteSession {
  public:
-  LocalWriteSession(nosql::Instance& db, std::string table)
-      : db_(db), table_(std::move(table)) {}
+  StreamWriteSession(StreamWriterFactory open, std::uint64_t nonce)
+      : open_(std::move(open)),
+        prefix_("tm/" + std::to_string(nonce) + "/") {}
 
   std::unique_ptr<nosql::MutationSink> open_writer(
-      std::size_t /*partition*/) override {
-    return std::make_unique<nosql::BatchWriter>(db_, table_);
+      std::size_t partition) override {
+    // A retried partition re-opens the SAME index, hence the SAME writer
+    // id: the table skips what the prior attempt applied.
+    return open_(prefix_ + std::to_string(partition));
   }
 
-  bool exactly_once() const noexcept override { return false; }
+  bool exactly_once() const noexcept override { return true; }
 
  private:
-  nosql::Instance& db_;
-  std::string table_;
+  StreamWriterFactory open_;
+  std::string prefix_;
 };
 
 }  // namespace
+
+std::unique_ptr<TableMultDataPlane::WriteSession> stream_write_session(
+    StreamWriterFactory open) {
+  static std::atomic<std::uint64_t> next_nonce{
+      (std::uint64_t{std::random_device{}()} << 32) ^ std::random_device{}()};
+  return std::make_unique<StreamWriteSession>(
+      std::move(open), next_nonce.fetch_add(1, std::memory_order_relaxed));
+}
 
 bool LocalDataPlane::table_exists(const std::string& table) {
   return db_.table_exists(table);
@@ -73,7 +86,10 @@ std::unique_ptr<TableMultDataPlane::ReadView> LocalDataPlane::open_read_view(
 
 std::unique_ptr<TableMultDataPlane::WriteSession>
 LocalDataPlane::open_write_session(const std::string& table) {
-  return std::make_unique<LocalWriteSession>(db_, table);
+  return stream_write_session([&db = db_, table](const std::string& id) {
+    return std::make_unique<nosql::BatchWriter>(db, table, 4 << 20,
+                                                util::RetryPolicy{}, id);
+  });
 }
 
 std::vector<std::string> LocalDataPlane::partition_rows(

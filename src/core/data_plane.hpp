@@ -11,18 +11,19 @@
 // and distributed::ClusterDataPlane implements them over RPC so the
 // same kernel runs against a fleet of tablet-server processes.
 //
-// Exactly-once across partition retries comes in two flavors, selected
-// by WriteSession::exactly_once():
-//  * false (local BatchWriter): the kernel skips the durable prefix of
-//    the partition's deterministic mutation stream client-side (the
-//    writer tells it how many mutations landed before the failure);
-//  * true (remote writers): resent batches carry (writer id, sequence
-//    number) and the owning server skips the already-applied prefix,
-//    which composes with per-server batching where a client-side
-//    prefix count would not (per-server batches apply out of global
-//    stream order). The kernel then always resends from sequence 0.
+// Exactly-once across partition retries is one mechanism on both
+// planes: partition p of a write session writes writer stream
+// "tm/<nonce>/<p>", every mutation carries its (writer id, sequence
+// number), and the table it lands in skips a sequence number below
+// that stream's high-water mark (nosql::Instance::apply's dedup
+// overload — called by the local BatchWriter directly and by the
+// tablet service for each remote write batch). A retried partition
+// re-opens the same index, resends its deterministic stream from
+// sequence 0, and only the unapplied suffix lands. The kernel keeps no
+// count of what landed.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,8 +64,9 @@ class TableMultDataPlane {
     virtual std::unique_ptr<nosql::MutationSink> open_writer(
         std::size_t partition) = 0;
 
-    /// True when the sinks dedup retried streams themselves (see file
-    /// comment); the kernel then keeps its client-side skip at zero.
+    /// Every session's sinks dedup resent streams (see file comment),
+    /// so both planes return true and the kernel no longer asks. The
+    /// method goes with the next change to this interface.
     virtual bool exactly_once() const noexcept = 0;
   };
 
@@ -101,6 +103,18 @@ class TableMultDataPlane {
   /// partitioning, snapshot open).
   virtual util::RetryPolicy retry_policy() const = 0;
 };
+
+/// Opens a sink writing writer stream `writer_id` into a session's table.
+using StreamWriterFactory = std::function<std::unique_ptr<nosql::MutationSink>(
+    const std::string& writer_id)>;
+
+/// The write session of both planes: partition p writes stream
+/// "tm/<nonce>/<p>" through `open`, and a retried partition reopens the
+/// same id (see file comment). Nonces come from one process-wide
+/// counter with a random start, so two multiplies (or two client
+/// processes) never share a stream in the table they write.
+std::unique_ptr<TableMultDataPlane::WriteSession> stream_write_session(
+    StreamWriterFactory open);
 
 /// The default plane: everything against one in-process Instance.
 class LocalDataPlane : public TableMultDataPlane {

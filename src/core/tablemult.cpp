@@ -176,16 +176,13 @@ class ReduceFold {
 /// Write mode: products pre-combine by output cell in the partition's
 /// CellAccumulator, which drains into the sink when the join ends, or
 /// earlier when its slot budget is full. The drained mutation stream is
-/// a deterministic function of the inputs; its first `skip` mutations
-/// (made durable by earlier attempts) are generated but not sent.
+/// a deterministic function of the inputs.
 class EmitFold {
  public:
-  EmitFold(nosql::MutationSink& writer, std::size_t skip)
-      : writer_(writer),
-        skip_(skip),
-        acc_([this](nosql::Mutation m) {
+  explicit EmitFold(nosql::MutationSink& writer)
+      : writer_(writer), acc_([this](nosql::Mutation m) {
           cells_emitted_ += m.updates().size();
-          if (generated_++ >= skip_) writer_.add_mutation(std::move(m));
+          writer_.add_mutation(std::move(m));
         }) {}
 
   void begin_row(const std::vector<const nosql::Cell*>& b) {
@@ -207,8 +204,6 @@ class EmitFold {
 
  private:
   nosql::MutationSink& writer_;
-  const std::size_t skip_;
-  std::size_t generated_ = 0;  // mutations drained (skipped or sent)
   std::size_t cells_emitted_ = 0;
   CellAccumulator acc_;
   std::uint32_t row_ = 0;
@@ -325,14 +320,12 @@ void merge_join(TableMultDataPlane::ReadView& view, const std::string& table_a,
 ///
 /// Exactly-once across attempts (write mode): the mutation stream of a
 /// partition is a deterministic function of the (stable) inputs, mask
-/// and filters included, so a retry skips the first `durable` mutations
-/// — the prefix prior attempts applied — and on any failure `durable`
-/// is advanced past everything THIS attempt applied before the buffered
-/// remainder is abandoned. An attempt applies nothing before its
-/// accumulator first drains. Sinks that dedup resent streams themselves
-/// (`sink_exactly_once`, the remote writers) instead see the stream
-/// from its beginning on every attempt and skip server-side. Reduce
-/// mode has no durable state: a retry starts over on a fresh
+/// and filters included, and every attempt writes it from its beginning
+/// through a writer the session opened under the partition's writer id.
+/// The table C dedups by (writer id, seq), so a retry applies only what
+/// no earlier attempt applied. On failure the buffered remainder is
+/// abandoned, never flushed from the destructor: the retry regenerates
+/// it. Reduce mode has no durable state: a retry starts over on a fresh
 /// accumulator.
 TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
                                        const std::string& table_a,
@@ -341,9 +334,7 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
                                        const MaskIndex* mask,
                                        ReduceAcc* reduce, bool per_row,
                                        const nosql::Range& range,
-                                       nosql::MutationSink* writer,
-                                       std::size_t& durable,
-                                       bool sink_exactly_once) {
+                                       nosql::MutationSink* writer) {
   // Per-partition wall time: same quantity TableMultPartitionStats
   // reports per call, accumulated here as a global latency histogram.
   TRACE_SPAN("tablemult.partition");
@@ -360,9 +351,8 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
     return stats;
   }
 
-  const std::size_t skip = sink_exactly_once ? 0 : durable;
   try {
-    EmitFold fold(*writer, skip);
+    EmitFold fold(*writer);
     merge_join(view, table_a, table_b, options, mask, range, total, fold,
                stats);
     stats.cells_emitted = fold.cells_emitted();
@@ -370,15 +360,8 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
     writer->close();
     stats.flush_seconds = phase.seconds();
     stats.seconds = total.seconds();
-    if (!sink_exactly_once) durable = skip + writer->mutations_written();
     return stats;
   } catch (...) {
-    // Everything this attempt managed to apply is durable; the buffered
-    // remainder must NOT flush from the destructor (a retry regenerates
-    // it), so abandon the writer before propagating. Exactly-once sinks
-    // keep durable at zero — the owning server, not this counter, skips
-    // the applied prefix of the resent stream.
-    if (!sink_exactly_once) durable = skip + writer->mutations_written();
     writer->abandon();
     throw;
   }
@@ -389,24 +372,20 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
 /// exactly-once argument; reduce attempts restart on a cleared
 /// accumulator), degrades a deadline overrun into a timed-out partition
 /// record instead of an exception. A retry re-opens the SAME partition
-/// index from the write session, so exactly-once sinks resume the same
-/// server-side stream.
+/// index from the write session, so it resumes the same writer stream.
 TableMultPartitionStats run_partition(
     TableMultDataPlane::ReadView& view, const std::string& table_a,
     const std::string& table_b, const TableMultOptions& options,
     const MaskIndex* mask, ReduceAcc* reduce, bool per_row,
     const nosql::Range& range, TableMultDataPlane::WriteSession* session,
     std::size_t partition_index) {
-  std::size_t durable = 0;
-  const bool sink_exactly_once = session != nullptr && session->exactly_once();
   for (std::size_t attempt = 1;; ++attempt) {
     try {
       if (reduce) *reduce = ReduceAcc{};
       std::unique_ptr<nosql::MutationSink> writer;
       if (session != nullptr) writer = session->open_writer(partition_index);
       auto stats = mult_partition(view, table_a, table_b, options, mask,
-                                  reduce, per_row, range, writer.get(),
-                                  durable, sink_exactly_once);
+                                  reduce, per_row, range, writer.get());
       stats.attempts = attempt;
       return stats;
     } catch (const PartitionTimeout& e) {
@@ -423,8 +402,7 @@ TableMultPartitionStats run_partition(
       if (attempt > options.max_partition_retries) throw;
       GRAPHULO_WARN << "TableMult: partition [" << range.start.row << ", "
                     << range.end.row << ") attempt " << attempt
-                    << " failed (" << e.what() << "); retrying with "
-                    << durable << " mutations already durable";
+                    << " failed (" << e.what() << "); retrying";
     }
   }
 }

@@ -43,12 +43,14 @@
 // independently retryable unit. A transient failure — an injected
 // fault, a WAL hiccup the lower-level retries could not absorb —
 // abandons the attempt's buffered writes and re-runs the partition on
-// fresh scans with a fresh writer, skipping the prefix of its
-// deterministic mutation stream that prior attempts already made
-// durable (exactly-once emission: the accumulator emits in key order,
-// so the stream, spills included, repeats exactly). An optional
-// per-partition deadline turns a hung partition into a warning + stats
-// flag instead of a stall.
+// fresh scans with a fresh writer under the same writer id. The retry
+// resends its deterministic mutation stream from the start (the
+// accumulator emits in key order, so the stream, spills included,
+// repeats exactly) and C skips, by (writer id, seq), every mutation a
+// prior attempt applied: exactly-once emission, by the same dedup on
+// the local and the cluster plane. An optional per-partition deadline
+// turns a hung partition into a warning + stats flag instead of a
+// stall.
 //
 // Masking and fusion (DESIGN.md §13): a structural mask table M gates
 // the output — partial products whose (row, qualifier) M does not name
@@ -95,9 +97,9 @@ struct TableMultOptions {
   /// A partition whose attempt fails transiently (injected fault, I/O
   /// error surviving the lower-level retries) is re-run this many times
   /// on fresh scans + a fresh writer. Re-runs are exactly-once: the
-  /// retry regenerates the partition's deterministic mutation stream
-  /// and skips the prefix already durably applied, so no partial
-  /// product is written twice.
+  /// retry resends the partition's deterministic mutation stream under
+  /// the partition's writer id, and C skips every mutation of it an
+  /// earlier attempt applied, so no partial product is written twice.
   std::size_t max_partition_retries = 2;
   /// Wall-clock budget per partition attempt; zero = unlimited. A
   /// partition that exceeds it aborts cooperatively and is reported as

@@ -1,9 +1,8 @@
 #include "distributed/cluster.hpp"
 
 #include <algorithm>
-#include <thread>
-#include <random>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -236,8 +235,8 @@ class ClusterBatchWriter : public nosql::MutationSink {
 
   void close() override {
     if (closed_) return;
+    closed_ = true;  // even if the flush throws: the caller sees it here
     flush();
-    closed_ = true;
   }
 
   void abandon() noexcept override {
@@ -411,38 +410,7 @@ class RemoteReadView : public core::TableMultDataPlane::ReadView {
   Cluster& cluster_;
 };
 
-class RemoteWriteSession : public core::TableMultDataPlane::WriteSession {
- public:
-  RemoteWriteSession(Cluster& cluster, std::string table,
-                     std::uint64_t session_nonce)
-      : cluster_(cluster),
-        table_(std::move(table)),
-        prefix_("tm/" + std::to_string(session_nonce) + "/") {}
-
-  std::unique_ptr<nosql::MutationSink> open_writer(
-      std::size_t partition) override {
-    // A retried partition re-opens the SAME index, hence the SAME
-    // writer id: its resent stream dedups against the prior attempt's
-    // server-side high-water marks.
-    return cluster_.writer(table_, prefix_ + std::to_string(partition));
-  }
-
-  bool exactly_once() const noexcept override { return true; }
-
- private:
-  Cluster& cluster_;
-  std::string table_;
-  std::string prefix_;
-};
-
 }  // namespace
-
-ClusterDataPlane::ClusterDataPlane(Cluster& cluster) : cluster_(cluster) {
-  // Nonce space per client process: two multiplies (or two client
-  // processes) must not share dedup streams on the servers.
-  std::random_device rd;
-  next_session_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-}
 
 bool ClusterDataPlane::table_exists(const std::string& table) {
   return cluster_.table_exists(table);
@@ -466,8 +434,10 @@ ClusterDataPlane::open_read_view(const std::vector<std::string>& tables,
 
 std::unique_ptr<core::TableMultDataPlane::WriteSession>
 ClusterDataPlane::open_write_session(const std::string& table) {
-  return std::make_unique<RemoteWriteSession>(
-      cluster_, table, next_session_.fetch_add(1, std::memory_order_relaxed));
+  return core::stream_write_session(
+      [&cluster = cluster_, table](const std::string& id) {
+        return cluster.writer(table, id);
+      });
 }
 
 std::vector<std::string> ClusterDataPlane::partition_rows(

@@ -27,7 +27,6 @@
 // space at the cluster's server boundaries (one partition per server),
 // and routes its partial products to the owning servers.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -134,7 +133,7 @@ class Cluster {
 /// sequence 0 while the owning servers skip the applied prefix.
 class ClusterDataPlane : public core::TableMultDataPlane {
  public:
-  explicit ClusterDataPlane(Cluster& cluster);
+  explicit ClusterDataPlane(Cluster& cluster) : cluster_(cluster) {}
 
   bool table_exists(const std::string& table) override;
   void ensure_table(const std::string& table, bool sum_combiner) override;
@@ -152,7 +151,6 @@ class ClusterDataPlane : public core::TableMultDataPlane {
 
  private:
   Cluster& cluster_;
-  std::atomic<std::uint64_t> next_session_;  ///< nonce per write session
 };
 
 /// C += A^T * B across the cluster's tablet servers: the core kernel

@@ -1,5 +1,7 @@
 #include "distributed/proto.hpp"
 
+#include <limits>
+
 #include "nosql/codec.hpp"
 
 namespace graphulo::distributed::proto {
@@ -45,6 +47,12 @@ WriteBatchRequest decode_write_batch_request(const std::string& body) {
   m.writer_id = wire::get_string(c);
   m.first_seq = wire::get_u64(c);
   const std::uint32_t n = get_count(c, 4);
+  // Mutation i is stream seq first_seq + i, and applying it moves the
+  // stream's mark to seq + 1: a range that wraps past 2^64 would reset
+  // the mark and re-apply the stream.
+  if (n > std::numeric_limits<std::uint64_t>::max() - m.first_seq) {
+    throw wire::WireError("wire: write batch sequence range wraps");
+  }
   m.mutations.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     m.mutations.push_back(wire::get_mutation(c));

@@ -23,10 +23,11 @@ namespace graphulo::distributed::proto {
 // ---- kWriteBatch --------------------------------------------------------
 
 /// One exactly-once write batch: `mutations[i]` carries stream sequence
-/// number `first_seq + i` of the (writer_id, table) stream. The server
+/// number `first_seq + i` of the (writer_id, table) stream. The table
 /// keeps a per-stream high-water mark and skips sequence numbers below
 /// it, so a resent batch (connection drop after apply, before the ack)
-/// applies each mutation exactly once.
+/// applies each mutation exactly once. Decoding rejects a batch whose
+/// sequence range wraps (first_seq + mutation count past 2^64).
 struct WriteBatchRequest {
   std::string table;
   std::string writer_id;

@@ -104,56 +104,34 @@ RpcServer::Response TabletService::handle_write_batch(
                             req.mutations.size());
   }
 
-  const std::string stream_key = req.writer_id + '\0' + req.table;
-  std::uint64_t hwm;  // next expected sequence number for this stream
-  {
-    std::lock_guard lock(mutex_);
-    hwm = dedup_[stream_key];
-  }
+  // Mutation first_seq + i of the (writer_id, table) stream: the table
+  // skips it below the stream's high-water mark, so a resent batch
+  // (lost ack, or a resend racing the original on another connection)
+  // applies each mutation once.
   const nosql::Range owned = owned_range();
   proto::WriteBatchResponse resp;
-  std::uint64_t seen = hwm;
-  try {
-    for (std::size_t i = 0; i < req.mutations.size(); ++i) {
-      if (deadline_passed(deadline)) {
-        throw nosql::DeadlineExceeded(
-            "write batch exceeded its deadline after " +
-            std::to_string(resp.applied) + " mutations");
-      }
-      const std::uint64_t seq = req.first_seq + i;
-      if (seq < hwm) {
-        ++resp.skipped;
-        continue;
-      }
-      const auto& m = req.mutations[i];
-      if (!owned.contains(nosql::min_key_for_row(m.row()))) {
-        throw nosql::wire::WireError("mutation row '" + m.row() +
-                                     "' routed to the wrong server");
-      }
-      db_.apply(req.table, m);
-      ++resp.applied;
-      seen = std::max(seen, seq + 1);
+  for (std::size_t i = 0; i < req.mutations.size(); ++i) {
+    if (deadline_passed(deadline)) {
+      throw nosql::DeadlineExceeded(
+          "write batch exceeded its deadline after " +
+          std::to_string(resp.applied) + " mutations");
     }
-    // Durable ack: the WAL holds everything this batch applied before
-    // the client sees kOk.
-    if (resp.applied > 0 && options_.sync_wal_on_write) db_.sync_wal();
-  } catch (...) {
-    // The applied prefix is real; record it so the client's resend of
-    // this batch (same first_seq) dedups instead of double-applying.
-    std::lock_guard lock(mutex_);
-    auto& entry = dedup_[stream_key];
-    entry = std::max(entry, seen);
-    writes_applied_ += resp.applied;
-    writes_skipped_ += resp.skipped;
-    throw;
+    const auto& m = req.mutations[i];
+    if (!owned.contains(nosql::min_key_for_row(m.row()))) {
+      throw nosql::wire::WireError("mutation row '" + m.row() +
+                                   "' routed to the wrong server");
+    }
+    if (db_.apply(req.table, m, req.writer_id, req.first_seq + i)) {
+      ++resp.applied;
+      ++writes_applied_;
+    } else {
+      ++resp.skipped;
+      ++writes_skipped_;
+    }
   }
-  {
-    std::lock_guard lock(mutex_);
-    auto& entry = dedup_[stream_key];
-    entry = std::max(entry, seen);
-  }
-  writes_applied_ += resp.applied;
-  writes_skipped_ += resp.skipped;
+  // Durable ack: the WAL holds everything this batch applied before
+  // the client sees kOk.
+  if (resp.applied > 0 && options_.sync_wal_on_write) db_.sync_wal();
   return {Status::kOk, proto::encode(resp)};
 }
 

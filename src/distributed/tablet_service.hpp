@@ -5,10 +5,13 @@
 // against the wrapped Instance:
 //
 //   kWriteBatch    exactly-once bulk apply — each (writer_id, table)
-//                  stream carries sequence numbers and the service
-//                  keeps a per-stream high-water mark, so a batch
-//                  resent after a lost ack skips its already-applied
-//                  prefix. Admission-charged per mutation; the WAL is
+//                  stream carries sequence numbers, and each mutation
+//                  goes through Instance::apply's (writer id, seq)
+//                  dedup: the high-water mark lives in the table, the
+//                  same one local BatchWriters with an id use, so a
+//                  batch resent after a lost ack (or racing the
+//                  original on another connection) skips what already
+//                  applied. Admission-charged per mutation; the WAL is
 //                  synced before the ack (durable acknowledgements).
 //   kScanOpen /    leased, resumable scans: open pins an MVCC snapshot,
 //   kScanContinue/ takes an admission scan slot (RAII ticket, held for
@@ -30,10 +33,11 @@
 //
 // Thread-safety: handle() is called concurrently from the server's
 // per-connection threads. The Instance's entry points are thread-safe;
-// the service's own state (dedup high-water marks, the lease table,
-// per-table admission sessions) is mutex-protected. A lease is checked
-// OUT of the table while a continue drains it, so concurrent continues
-// on different leases never serialize on one scan.
+// the service's own state (the lease table, per-table admission
+// sessions) is mutex-protected; the write streams' marks are the
+// tables' (see kWriteBatch). A lease is checked OUT of the table while
+// a continue drains it, so concurrent continues on different leases
+// never serialize on one scan.
 
 #include <atomic>
 #include <chrono>
@@ -138,10 +142,8 @@ class TabletService {
   TabletServiceOptions options_;
   CreateHook on_create_;
 
-  mutable std::mutex mutex_;  ///< guards leases_, dedup_, write_sessions_
+  mutable std::mutex mutex_;  ///< guards leases_, write_sessions_
   std::map<std::uint64_t, std::unique_ptr<Lease>> leases_;
-  /// (writer_id + '\0' + table) -> next expected sequence number.
-  std::map<std::string, std::uint64_t> dedup_;
   std::map<std::string, std::shared_ptr<nosql::AdmissionSession>>
       write_sessions_;
   std::atomic<std::uint64_t> next_lease_id_{1};

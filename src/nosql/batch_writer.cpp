@@ -29,11 +29,13 @@ obs::Counter& bw_retries() {
 
 BatchWriter::BatchWriter(Instance& instance, std::string table,
                          std::size_t max_buffer_bytes,
-                         util::RetryPolicy retry)
+                         util::RetryPolicy retry,
+                         std::optional<std::string> writer_id)
     : instance_(instance),
       table_(std::move(table)),
       max_buffer_bytes_(max_buffer_bytes),
-      retry_(retry) {}
+      retry_(retry),
+      writer_id_(std::move(writer_id)) {}
 
 BatchWriter::~BatchWriter() {
   if (closed_) return;
@@ -80,7 +82,11 @@ void BatchWriter::flush() {
         // admission layer's back-pressure, surfaced typed to callers
         // once retries run out.
         if (admission_) admission_->admit_write(*session_);
-        instance_.apply(table_, buffer_[applied]);
+        if (writer_id_) {
+          instance_.apply(table_, buffer_[applied], *writer_id_, written_);
+        } else {
+          instance_.apply(table_, buffer_[applied]);
+        }
       });
       ++written_;
       bw_mutations().inc();

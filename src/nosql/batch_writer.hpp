@@ -13,7 +13,17 @@
 // errors; the destructor still flushes as a convenience but can only
 // WARN about failures (recorded in last_error() until then). abandon()
 // discards the buffer for callers that will re-generate the mutations
-// themselves (e.g. a retried TableMult partition).
+// themselves.
+//
+// Writer streams: a writer given a writer id stamps each mutation with
+// its position in the stream (0, 1, 2, ... in add_mutation order) and
+// applies it through Instance::apply(table, m, writer_id, seq), which
+// skips a seq below the table's high-water mark for that id. A fresh
+// writer with the SAME id that re-generates and resends the stream
+// from seq 0 therefore applies only the suffix no earlier writer
+// applied — how a retried TableMult partition stays exactly-once, the
+// same (writer id, seq) dedup the tablet service applies to remote
+// write batches. Without an id, mutations apply as they come.
 //
 // Concurrency contract (audited for the parallel TableMult pipeline):
 // one BatchWriter instance is NOT thread-safe — it buffers in plain
@@ -47,9 +57,11 @@ class BatchWriter : public MutationSink {
 
   /// Buffers up to `max_buffer_bytes` of mutations before auto-flushing.
   /// `retry` bounds the per-mutation retry of transient apply failures.
+  /// `writer_id` makes the writer one dedup stream (see file comment).
   BatchWriter(Instance& instance, std::string table,
               std::size_t max_buffer_bytes = 4 << 20,
-              util::RetryPolicy retry = {});
+              util::RetryPolicy retry = {},
+              std::optional<std::string> writer_id = std::nullopt);
 
   /// Flushes remaining mutations unless close()/abandon() already ran.
   /// Destruction never throws; a failing final flush is logged as a
@@ -99,7 +111,9 @@ class BatchWriter : public MutationSink {
   }
 
   /// Mutations applied to the instance so far (exact, maintained
-  /// per-mutation — meaningful mid-failure).
+  /// per-mutation — meaningful mid-failure). For a writer stream this
+  /// counts the mutations an earlier writer with the same id applied
+  /// too, so it is also the stream position of the first buffered one.
   std::size_t mutations_written() const noexcept override { return written_; }
 
   /// Mutations still buffered (unapplied).
@@ -110,6 +124,7 @@ class BatchWriter : public MutationSink {
   std::string table_;
   std::size_t max_buffer_bytes_;
   util::RetryPolicy retry_;
+  std::optional<std::string> writer_id_;
   std::size_t buffered_bytes_ = 0;
   std::vector<Mutation> buffer_;
   std::size_t written_ = 0;

@@ -294,6 +294,26 @@ void Instance::apply(const std::string& name, const Mutation& mutation) {
   });
 }
 
+bool Instance::apply(const std::string& name, const Mutation& mutation,
+                     const std::string& writer_id, std::uint64_t seq) {
+  std::shared_ptr<Table::WriteStream> stream;
+  {
+    std::shared_lock lock(catalog_mutex_);
+    Table& table = get_table(name);
+    std::lock_guard streams_lock(table.streams_mutex_);
+    auto& slot = table.streams_[writer_id];
+    if (!slot) slot = std::make_shared<Table::WriteStream>();
+    stream = slot;
+  }
+  // Held across the apply: a concurrent resend of this stream waits
+  // here, then sees the advanced mark.
+  std::lock_guard lock(stream->mutex);
+  if (seq < stream->next_seq) return false;
+  apply(name, mutation);
+  stream->next_seq = seq + 1;
+  return true;
+}
+
 void Instance::apply_replayed(const std::string& name,
                               const Mutation& mutation,
                               Timestamp assigned_ts) {

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "nosql/admission.hpp"
@@ -33,7 +34,9 @@ namespace graphulo::nosql {
 /// tablet's file iterators read through. The table shares its config
 /// and cache with its tablets, their snapshots and every scan stack,
 /// and its admission controller with its clients, so each of those
-/// stays usable after delete_table.
+/// stays usable after delete_table. It also keeps the high-water mark
+/// of every writer stream that wrote it (see the dedup overload of
+/// Instance::apply), in memory, so dropping the table forgets them.
 class Table {
  public:
   Table(std::string name, std::shared_ptr<const TableConfig> config)
@@ -69,12 +72,22 @@ class Table {
  private:
   friend class Instance;
 
+  /// One writer id's stream into this table: the next sequence number
+  /// not yet applied. `mutex` serializes check, apply and advance.
+  struct WriteStream {
+    std::mutex mutex;
+    std::uint64_t next_seq = 0;
+  };
+
   std::string name_;
   std::shared_ptr<const TableConfig> config_;
   std::shared_ptr<AdmissionController> admission_;
   std::shared_ptr<BlockCache> cache_;
   std::vector<std::shared_ptr<Tablet>> tablets_;
   std::vector<int> tablet_server_of_;  ///< parallel to tablets_
+  std::mutex streams_mutex_;  ///< guards the map, not the streams
+  /// writer id -> its stream, created at seq 0 on first use.
+  std::unordered_map<std::string, std::shared_ptr<WriteStream>> streams_;
 };
 
 class Instance {
@@ -142,6 +155,17 @@ class Instance {
   /// is assigned once, before the first attempt, so retries do not
   /// perturb the logical clock sequence.
   void apply(const std::string& name, const Mutation& mutation);
+
+  /// Applies `mutation` as sequence number `seq` of writer `writer_id`'s
+  /// stream into table `name`, once: a seq below the stream's
+  /// high-water mark is skipped and returns false; otherwise the
+  /// mutation is applied as above, the mark moves to seq + 1, and the
+  /// call returns true. Check, apply and advance run under the stream's
+  /// own lock, so concurrent resends of one stream apply each seq once
+  /// and other streams never wait on it. Local BatchWriters with an id
+  /// and the tablet service's kWriteBatch both land here.
+  bool apply(const std::string& name, const Mutation& mutation,
+             const std::string& writer_id, std::uint64_t seq);
 
   /// Applies a mutation with a pre-assigned timestamp and NO WAL write —
   /// the replay path of crash recovery. Advances the logical clock past

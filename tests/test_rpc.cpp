@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -316,6 +319,27 @@ TEST(ProtoCodec, RejectsHostileListCounts) {
   EXPECT_THROW(proto::decode_scan_continue_response(scan), WireError);
 }
 
+/// Mutation i of a write batch is stream seq first_seq + i, and the
+/// stream's mark moves to seq + 1: a range reaching 2^64 would wrap the
+/// mark to 0, so the decoder rejects it.
+TEST(ProtoCodec, RejectsWrappingSequenceRange) {
+  proto::WriteBatchRequest req = sample_write_batch();
+  ASSERT_EQ(req.mutations.size(), 2u);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t first : {kMax, kMax - 1}) {
+    req.first_seq = first;
+    EXPECT_THROW(proto::decode_write_batch_request(proto::encode(req)),
+                 WireError)
+        << first;
+  }
+  req.first_seq = kMax - 2;  // last seq kMax - 1, mark kMax: no wrap
+  EXPECT_EQ(proto::decode_write_batch_request(proto::encode(req)).first_seq,
+            kMax - 2);
+  req.mutations.clear();  // an empty batch names no sequence numbers
+  req.first_seq = kMax;
+  EXPECT_NO_THROW(proto::decode_write_batch_request(proto::encode(req)));
+}
+
 // ---- request/response headers -------------------------------------------
 
 TEST(WireHeaders, RequestResponseRoundTrip) {
@@ -577,6 +601,104 @@ TEST(RpcEndToEnd, WriteBatchResendIsDeduped) {
   std::set<std::string> rows;
   for (const auto& cell : drain(*it)) rows.insert(cell.key.row);
   EXPECT_EQ(rows.size(), 8u);
+}
+
+/// A resend that races the original (the client's deadline fired and it
+/// resent on a new connection while the first send still applies) lands
+/// each mutation once: the table checks, applies and advances a stream's
+/// mark under that stream's lock.
+TEST(RpcEndToEnd, ConcurrentResendsApplyOnce) {
+  constexpr int kMutations = 50000;
+  TestServer ts;
+  ts.db.create_table("T", core::sum_table_config());
+  proto::WriteBatchRequest req;
+  req.table = "T";
+  req.writer_id = "stream-1";
+  req.first_seq = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    nosql::Mutation m(assoc::vertex_key(i));
+    m.put("f", "q", nosql::encode_double(1.0));
+    req.mutations.push_back(std::move(m));
+  }
+  const std::string body = proto::encode(req);
+
+  std::atomic<int> ready{0};
+  const auto send = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    const auto reply =
+        ts.service.handle(rpc::Verb::kWriteBatch, body, std::nullopt);
+    EXPECT_EQ(reply.status, rpc::Status::kOk);
+    return proto::decode_write_batch_response(reply.body);
+  };
+  auto first = std::async(std::launch::async, send);
+  auto second = std::async(std::launch::async, send);
+  const auto a = first.get();
+  const auto b = second.get();
+  EXPECT_EQ(a.applied + b.applied, static_cast<std::uint32_t>(kMutations));
+  EXPECT_EQ(a.skipped + b.skipped, static_cast<std::uint32_t>(kMutations));
+
+  nosql::Scanner scanner(ts.db, "T");
+  const auto cells = scanner.read_all();
+  ASSERT_EQ(cells.size(), static_cast<std::size_t>(kMutations));
+  std::size_t not_one = 0;
+  for (const auto& cell : cells) {
+    if (nosql::decode_double(cell.value) != 1.0) ++not_one;
+  }
+  EXPECT_EQ(not_one, 0u);
+}
+
+/// A batch whose sequence range wraps is a bad request, and sending it
+/// twice applies nothing either time.
+TEST(RpcEndToEnd, WrappingSequenceRangeAppliesNothing) {
+  TestServer ts;
+  Cluster cluster({ts.endpoint()}, {}, fast_retries());
+  cluster.ensure_table("T", /*sum_combiner=*/true);
+  proto::WriteBatchRequest req;
+  req.table = "T";
+  req.writer_id = "w";
+  req.first_seq = std::numeric_limits<std::uint64_t>::max();
+  for (int i = 0; i < 2; ++i) {
+    nosql::Mutation m("r0");
+    m.put("f", "q", nosql::encode_double(1.0));
+    req.mutations.push_back(std::move(m));
+  }
+  for (int send = 0; send < 2; ++send) {
+    try {
+      cluster.call(0, rpc::Verb::kWriteBatch, proto::encode(req));
+      FAIL() << "wrapping sequence range accepted";
+    } catch (const rpc::RemoteError& e) {
+      EXPECT_EQ(e.status(), rpc::Status::kBadRequest);
+    }
+  }
+  EXPECT_EQ(cluster.status(0).writes_applied, 0u);
+  auto it = cluster.scan("T", nosql::Range::all());
+  EXPECT_TRUE(drain(*it).empty());
+}
+
+/// close() is where a writer's final flush fails visibly; afterwards the
+/// writer is closed, and its destructor must not send the batch after
+/// all (the caller already saw the failure and may have retried).
+TEST(RpcEndToEnd, FailedCloseDoesNotResendFromDestructor) {
+  TestServer ts;
+  Cluster cluster({ts.endpoint()}, {}, fast_retries());
+  cluster.ensure_table("T", false);
+  {
+    auto writer = cluster.writer("T", "w");
+    for (int i = 0; i < 10; ++i) {
+      nosql::Mutation m(assoc::vertex_key(i));
+      m.put("f", "q", "v");
+      writer->add_mutation(std::move(m));
+    }
+    util::fault::reset();
+    util::fault::FaultSpec fatal;
+    fatal.probability = 1.0;
+    fatal.fatal = true;
+    util::fault::arm(util::fault::sites::kRpcSend, fatal);
+    EXPECT_THROW(writer->close(), util::FatalError);
+    util::fault::reset();
+  }  // destroyed with the batch still buffered
+  EXPECT_EQ(cluster.status(0).writes_applied, 0u);
 }
 
 /// A mutation routed to a server that does not own its row is a

@@ -1,15 +1,17 @@
 // The asynchronous write path: WAL group commit (sync modes and
 // durability), the background flush/compaction scheduler (racing scans,
 // back-pressure, quiesce), the RFile block cache (LRU semantics,
-// counters), one-shot compaction iterators, and table lifetime (what
-// keeps a tablet, its config and its block cache alive). Registered
-// under the `concurrency` ctest label so the TSan build exercises every
-// cross-thread handoff here.
+// counters), one-shot compaction iterators, table lifetime (what keeps
+// a tablet, its config and its block cache alive), and writer streams
+// (the table's (writer id, seq) dedup behind exactly-once resends).
+// Registered under the `concurrency` ctest label so the TSan build
+// exercises every cross-thread handoff here.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,7 +21,9 @@
 
 #include "core/table_ops.hpp"
 #include "core/table_scan.hpp"
+#include "core/tablemult.hpp"
 #include "nosql/nosql.hpp"
+#include "util/fault.hpp"
 #include "util/strings.hpp"
 
 namespace graphulo::nosql {
@@ -789,6 +793,140 @@ TEST(TableLifetime, RetiredTabletsAreFreed) {
       db.tablets_for_range("t", Range::all())[0].first;
   db.delete_table("t");
   EXPECT_TRUE(dropped.expired()) << "a dropped table's tablet outlived it";
+}
+
+// ---------------------------------------------------------------------------
+// Writer streams: Instance::apply's (writer id, seq) dedup
+
+/// Row r of a sum table gets +1.0 once per applied mutation, so a cell
+/// reading 2.0 is a mutation applied twice.
+Mutation increment(int row) {
+  Mutation m(util::zero_pad(static_cast<std::uint64_t>(row), 6));
+  m.put("f", "q", encode_double(1.0));
+  return m;
+}
+
+/// Every cell of `table` as row -> summed value.
+std::map<std::string, double> sums(Instance& db, const std::string& table) {
+  std::map<std::string, double> out;
+  Scanner scanner(db, table);
+  for (const auto& cell : scanner.read_all()) {
+    out[cell.key.row] = decode_double(cell.value).value_or(-1.0);
+  }
+  return out;
+}
+
+std::map<std::string, double> ones(int rows) {
+  std::map<std::string, double> out;
+  for (int r = 0; r < rows; ++r) out[increment(r).row()] = 1.0;
+  return out;
+}
+
+TEST(WriteStream, ResendAndOverlapApplyOnce) {
+  Instance db;
+  db.create_table("t", core::sum_table_config());
+  std::size_t applied = 0, skipped = 0;
+  const auto send = [&](std::uint64_t first, std::uint64_t count) {
+    for (std::uint64_t seq = first; seq < first + count; ++seq) {
+      ++(db.apply("t", increment(static_cast<int>(seq)), "w", seq)
+             ? applied
+             : skipped);
+    }
+  };
+  send(0, 8);
+  EXPECT_EQ(applied, 8u);
+  EXPECT_EQ(skipped, 0u);
+  send(0, 8);  // the whole stream again: nothing lands
+  EXPECT_EQ(applied, 8u);
+  EXPECT_EQ(skipped, 8u);
+  send(4, 8);  // overlapping continuation: only seq 8..11 are new
+  EXPECT_EQ(applied, 12u);
+  EXPECT_EQ(skipped, 12u);
+  EXPECT_EQ(sums(db, "t"), ones(12));
+}
+
+TEST(WriteStream, AbandonedWriterResendsOnceThroughAFreshWriter) {
+  constexpr int kRows = 10;
+  Instance db;
+  db.create_table("t", core::sum_table_config());
+  util::RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.initial_backoff = std::chrono::microseconds(1);
+  {
+    BatchWriter writer(db, "t", 4 << 20, retry, "stream");
+    for (int r = 0; r < kRows; ++r) writer.add_mutation(increment(r));
+    // Hits 1-4 apply seq 0..3; seq 4 fails both of its attempts.
+    util::fault::FaultSpec spec;
+    spec.fire_on_hits = {5, 6};
+    util::fault::arm(util::fault::sites::kBatchWriterFlush, spec);
+    EXPECT_THROW(writer.flush(), util::TransientError);
+    util::fault::reset();
+    EXPECT_EQ(writer.mutations_written(), 4u);
+    writer.abandon();
+  }
+  // A fresh writer under the same id regenerates the whole stream.
+  BatchWriter again(db, "t", 4 << 20, retry, "stream");
+  for (int r = 0; r < kRows; ++r) again.add_mutation(increment(r));
+  again.close();
+  EXPECT_EQ(again.mutations_written(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(sums(db, "t"), ones(kRows));
+}
+
+TEST(WriteStream, TwoIdsDoNotInterfere) {
+  Instance db;
+  db.create_table("t", core::sum_table_config());
+  for (std::uint64_t seq = 0; seq < 5; ++seq) {
+    EXPECT_TRUE(db.apply("t", increment(static_cast<int>(seq)), "a", seq));
+  }
+  // Stream b starts at 0 of its own: a's mark does not skip it.
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    EXPECT_TRUE(db.apply("t", increment(static_cast<int>(seq)), "b", seq));
+  }
+  EXPECT_FALSE(db.apply("t", increment(0), "b", 2));
+  EXPECT_TRUE(db.apply("t", increment(3), "b", 3));
+  // The same id into another table is another stream.
+  db.create_table("u", core::sum_table_config());
+  EXPECT_TRUE(db.apply("u", increment(0), "a", 0));
+  const auto t = sums(db, "t");
+  EXPECT_EQ(t.at(increment(0).row()), 2.0);
+  EXPECT_EQ(t.at(increment(3).row()), 2.0);
+  EXPECT_EQ(t.at(increment(4).row()), 1.0);
+  EXPECT_EQ(sums(db, "u"), ones(1));
+}
+
+TEST(WriteStream, DeleteTableForgetsMarks) {
+  Instance db;
+  db.create_table("t", core::sum_table_config());
+  EXPECT_TRUE(db.apply("t", increment(0), "w", 0));
+  EXPECT_FALSE(db.apply("t", increment(0), "w", 0));
+  db.delete_table("t");
+  db.create_table("t", core::sum_table_config());
+  EXPECT_TRUE(db.apply("t", increment(0), "w", 0));
+  EXPECT_EQ(sums(db, "t"), ones(1));
+}
+
+// Two threads resend one stream at once: each seq lands exactly once,
+// whichever thread gets to it first.
+TEST(WriteStream, ConcurrentResendsApplyOnce) {
+  constexpr int kRows = 2000;
+  Instance db;
+  db.create_table("t", core::sum_table_config());
+  std::atomic<int> ready{0};
+  const auto resend = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    std::size_t applied = 0;
+    for (int r = 0; r < kRows; ++r) {
+      if (db.apply("t", increment(r), "w", static_cast<std::uint64_t>(r))) {
+        ++applied;
+      }
+    }
+    return applied;
+  };
+  auto first = std::async(std::launch::async, resend);
+  auto second = std::async(std::launch::async, resend);
+  EXPECT_EQ(first.get() + second.get(), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(sums(db, "t"), ones(kRows));
 }
 
 }  // namespace
