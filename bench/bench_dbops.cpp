@@ -575,8 +575,9 @@ void run_smoke_tablemult() {
 // ---- leveled compaction sweep (BENCH_compaction.json) -------------------
 
 /// One sustained-ingest run: overwrite-heavy cells (about four versions
-/// per column) pushed through threshold flushes and inline compactions,
-/// then the amplification shape plus a cache-warm full scan.
+/// per column) pushed through threshold flushes and compactions, which
+/// the writer runs itself (no scheduler attached), then the
+/// amplification shape plus a cache-warm full scan.
 struct CompactionPoint {
   double ingest_rate = 0.0;
   double warm_scan_rate = 0.0;

@@ -1,15 +1,15 @@
 #pragma once
 // Shared background executor for tablet minor/major compactions,
 // analogous to Accumulo's tserver compaction thread pools. Tablets
-// enqueue flush/merge work here instead of running it inline under the
-// tablet lock; the scheduler tracks queued / in-flight / completed
+// enqueue their flush and compaction tasks here so that writers do not
+// run them; the scheduler tracks queued / in-flight / completed
 // counts and offers drain() so checkpointing and shutdown can quiesce
 // every background compaction before touching on-disk state.
 //
 // Tasks must be self-contained and non-throwing from the scheduler's
 // point of view: a task that lets an exception escape is logged and
 // counted as completed (the owning tablet contains its own failures —
-// see Tablet's background compaction paths).
+// see Tablet's maintenance tasks).
 
 #include <condition_variable>
 #include <cstdint>
@@ -39,8 +39,8 @@ class CompactionScheduler {
   CompactionScheduler& operator=(const CompactionScheduler&) = delete;
 
   /// Schedules `task`. Returns false (without running it) when the
-  /// scheduler is shutting down — callers fall back to doing the work
-  /// inline or on a later trigger.
+  /// scheduler is shutting down; a tablet then runs the refused task on
+  /// the calling thread, as it does without a scheduler.
   bool enqueue(std::function<void()> task);
 
   /// Blocks until every task enqueued so far has completed. New tasks

@@ -209,11 +209,11 @@ class Instance {
   /// Attaches a background compaction scheduler: from now on (and for
   /// every existing tablet) threshold flushes and picker-selected
   /// leveled compactions run on the scheduler's thread pool instead of
-  /// inline under the write.
-  /// Pass nullptr to detach and return to inline compaction.
+  /// on the writer that triggered them.
+  /// Pass nullptr to detach: writers then run those tasks themselves.
   void attach_compaction_scheduler(std::shared_ptr<CompactionScheduler> s);
 
-  /// The attached scheduler (nullptr when compactions run inline).
+  /// The attached scheduler (nullptr when writers run the compactions).
   const std::shared_ptr<CompactionScheduler>& compaction_scheduler()
       const noexcept {
     return scheduler_;

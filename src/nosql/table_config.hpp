@@ -54,9 +54,10 @@ struct TableConfig {
   std::size_t flush_entries = 100000;
   /// Leveled-compaction knobs: L0 trigger and per-level byte budgets.
   CompactionConfig compaction;
-  /// Hard ceiling on a tablet's file count when a background
-  /// CompactionScheduler is attached: writers block (back-pressure)
-  /// until a major compaction brings the count back down.
+  /// Ceiling on a tablet's file count: writers block (back-pressure)
+  /// until a major compaction brings the count back down, or go ahead
+  /// when the picker has nothing left to merge (at most one file per
+  /// level, so a ceiling below the level count can be exceeded).
   std::size_t max_tablet_files = 64;
   /// Keep only the newest version of each cell (disable when an attached
   /// combiner needs to see every version).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
@@ -49,23 +50,21 @@ obs::Gauge& frozen_gauge() {
 obs::Counter& relief_total() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "tablet.relief.total",
-      "Inline back-pressure reliefs (flush+compact under the write lock)");
+      "Back-pressure waits in which the writer ran the queued flush or "
+      "compaction itself (no pool took it)");
   return c;
 }
 obs::Counter& relief_failure_total() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "tablet.relief.failures.total",
-      "Inline back-pressure reliefs that failed after bounded retries");
+      "Back-pressure reliefs whose flush or compaction failed (the write "
+      "went ahead over the ceiling)");
   return c;
 }
 
 /// Ceiling on frozen memtables per tablet before writers block: enough
 /// to ride out a slow flush, small enough to bound memory.
 constexpr std::size_t kMaxFrozenMemtables = 4;
-
-/// Bound on the inline picker loop per trigger; budgets grow
-/// geometrically so real cascades settle in a couple of steps.
-constexpr int kMaxInlineCompactions = 16;
 
 /// Runs `stack` to completion over everything and collects the cells.
 std::vector<Cell> drain_all(SortedKVIterator& stack) {
@@ -98,6 +97,21 @@ std::vector<Cell> merge_compaction_inputs(
   return drain_all(*stack);
 }
 
+/// Releases a held lock for its scope and retakes it on the way out,
+/// also when the scope throws.
+class Unlocked {
+ public:
+  explicit Unlocked(std::unique_lock<std::mutex>& lock) : lock_(lock) {
+    lock_.unlock();
+  }
+  ~Unlocked() { lock_.lock(); }
+  Unlocked(const Unlocked&) = delete;
+  Unlocked& operator=(const Unlocked&) = delete;
+
+ private:
+  std::unique_lock<std::mutex>& lock_;
+};
+
 }  // namespace
 
 Tablet::~Tablet() {
@@ -118,83 +132,119 @@ void Tablet::apply(const Mutation& mutation, Timestamp assigned_ts) {
   }
   wait_for_capacity_locked(lock);
   memtable_->apply(mutation, assigned_ts);
-  maybe_compact_locked();
+  maybe_compact_locked(lock);
 }
 
 void Tablet::insert_cell(Cell cell) {
   std::unique_lock lock(mutex_);
   wait_for_capacity_locked(lock);
   memtable_->insert(cell.key, cell.value);
-  maybe_compact_locked();
+  maybe_compact_locked(lock);
 }
 
-void Tablet::maybe_compact_locked() {
+void Tablet::maybe_compact_locked(std::unique_lock<std::mutex>& lock) {
   // Shadowed identical-key entries count: rewriting one key must not
   // grow a memtable without bound.
   if (memtable_->node_count() < config_->flush_entries) return;
-  if (scheduler_) {
-    // Background mode: O(1) freeze + enqueue; the writer returns
-    // immediately and the flush runs on the scheduler's pool.
-    freeze_active_locked();
-    maybe_enqueue_major_locked();
-    return;
-  }
-  // Threshold-triggered compactions are opportunistic: a transient
-  // failure (injected or real) leaves the memtable intact — the write
-  // that got us here already succeeded — and the next write past the
-  // threshold retries the flush. Mirrors a tablet server whose minor
-  // compaction failed: data stays in memory + WAL, nothing is lost.
-  try {
-    flush_locked();
-    // Settle the levels: an L0->L1 compaction can push L1 over budget,
-    // which pushes a slice into L2, and so on down the tree.
-    for (int round = 0; round < kMaxInlineCompactions; ++round) {
-      const auto pick = pick_locked();
-      if (!pick) break;
-      run_compaction_locked(*pick);
-    }
-  } catch (const util::TransientError& e) {
-    GRAPHULO_WARN << "Tablet[" << extent_.start_row << "," << extent_.end_row
-                  << "): deferred flush/compaction failed transiently, will "
-                  << "retry on a later write: " << e.what();
-  }
+  freeze_active_locked();
+  run_tasks_locked(lock, queue_tasks_locked(kMinorTask | kMajorTask));
 }
 
 void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
-  if (!scheduler_) return;
   while (versions_.current()->file_count() >= config_->max_tablet_files ||
          frozen_.size() >= kMaxFrozenMemtables) {
-    if (!minor_inflight_ && !frozen_.empty()) enqueue_minor_locked();
-    maybe_enqueue_major_locked();
-    if (minor_inflight_ || major_inflight_) {
-      state_cv_.wait_for(lock, std::chrono::microseconds(200));
+    if (const unsigned owned = queue_tasks_locked(kMinorTask | kMajorTask)) {
+      // No pool took the work: this writer relieves the pressure itself.
+      // A failed task is not retried here, which would spin on a
+      // persistent fault: the write goes ahead and the next trigger
+      // retries it.
+      ++relief_runs_;
+      relief_total().inc();
+      if (!run_tasks_locked(lock, owned)) {
+        ++relief_failures_;
+        relief_failure_total().inc();
+        return;
+      }
       continue;
     }
-    // Nothing is in flight and nothing could be queued (scheduler
-    // shutting down, or the picker found no work): relieve the
-    // pressure inline rather than spinning. Transient failures
-    // (injected or real) get bounded-backoff retries — giving up on
-    // the first fault would let the writer proceed with the ceiling
-    // still breached and the pressure unrelieved.
-    ++relief_runs_;
-    relief_total().inc();
-    try {
-      util::with_retries("Tablet: back-pressure relief", util::RetryPolicy{},
-                         [&] {
-                           flush_locked();
-                           major_compact_locked();
-                         });
-    } catch (const util::TransientError& e) {
-      ++relief_failures_;
-      relief_failure_total().inc();
-      GRAPHULO_WARN << "Tablet: inline back-pressure relief failed after "
-                    << "retries: " << e.what();
-    }
-    break;
+    if (!minor_inflight_ && !major_inflight_) return;  // nothing can help
+    state_cv_.wait_for(lock, std::chrono::microseconds(200));
   }
 }
 
-std::vector<Cell> Tablet::build_minor_cells(const Memtable& memtable) const {
+void Tablet::freeze_active_locked() {
+  if (memtable_->empty()) return;  // never queue a no-op flush
+  frozen_.insert(frozen_.begin(),
+                 FrozenMemtable{next_data_seq_++, std::move(memtable_)});
+  frozen_gauge().add(1);
+  memtable_ = std::make_shared<Memtable>();
+}
+
+unsigned Tablet::queue_tasks_locked(unsigned wanted) {
+  unsigned owned = 0;
+  for (const Task task : {kMinorTask, kMajorTask}) {
+    if (!(wanted & task)) continue;
+    bool& inflight = task == kMinorTask ? minor_inflight_ : major_inflight_;
+    if (inflight) continue;  // its owner picks up whatever is due
+    if (task == kMinorTask ? frozen_.empty() : !pick_locked()) continue;
+    inflight = true;
+    if (scheduler_ && scheduler_->enqueue([self = shared_from_this(), task] {
+          std::unique_lock task_lock(self->mutex_);
+          self->run_tasks_locked(task_lock, task);
+          ++self->bg_completed_;
+        })) {
+      ++bg_queued_;
+    } else {
+      owned |= task;
+    }
+  }
+  return owned;
+}
+
+bool Tablet::run_tasks_locked(std::unique_lock<std::mutex>& lock,
+                              unsigned owned) {
+  bool ok = true;
+  while (owned != 0) {
+    if (owned & kMinorTask) {
+      owned &= ~kMinorTask;
+      try {
+        while (!frozen_.empty()) {
+          flush_oldest_locked(lock);
+          owned |= queue_tasks_locked(kMajorTask);
+        }
+      } catch (const std::exception& e) {
+        // Contained: the frozen memtable stays queued in memory (and in
+        // the WAL) for a later trigger or an explicit flush(). Retrying
+        // the write instead would apply it twice.
+        GRAPHULO_WARN << "Tablet[" << extent_.start_row << ","
+                      << extent_.end_row
+                      << "): flush failed, keeping memtable frozen: "
+                      << e.what();
+        ok = false;
+      }
+      minor_inflight_ = false;
+    } else {
+      owned &= ~kMajorTask;
+      bool installed = false;
+      try {
+        installed = compact_picked_locked(lock);
+      } catch (const std::exception& e) {
+        GRAPHULO_WARN << "Tablet[" << extent_.start_row << ","
+                      << extent_.end_row
+                      << "): compaction failed, keeping inputs: " << e.what();
+        ok = false;
+      }
+      major_inflight_ = false;
+      // Cascade: this install may have pushed the next level over budget.
+      if (installed) owned |= queue_tasks_locked(kMajorTask);
+    }
+    state_cv_.notify_all();
+  }
+  return ok;
+}
+
+std::shared_ptr<RFile> Tablet::build_minor_file(
+    const Memtable& memtable) const {
   // Site fires before any state change: a failed flush leaves memtable
   // and file set exactly as they were.
   util::fault::point(util::fault::sites::kMemtableFlush);
@@ -202,108 +252,35 @@ std::vector<Cell> Tablet::build_minor_cells(const Memtable& memtable) const {
   IterPtr stack = memtable.pin().iterator();
   stack = apply_scope_iterators(std::move(stack), config_->iterators,
                                 kMincScope);
-  return drain_all(*stack);
+  auto cells = drain_all(*stack);
+  if (cells.empty()) return nullptr;
+  return RFile::from_sorted(std::move(cells), config_->rfile);
 }
 
-void Tablet::freeze_active_locked() {
-  if (memtable_->empty()) return;  // never enqueue a no-op flush
-  frozen_.insert(frozen_.begin(),
-                 FrozenMemtable{next_data_seq_++, std::move(memtable_)});
-  frozen_gauge().add(1);
-  memtable_ = std::make_shared<Memtable>();
-  enqueue_minor_locked();
-}
-
-void Tablet::enqueue_minor_locked() {
-  if (!scheduler_ || minor_inflight_) return;
-  minor_inflight_ = true;
-  auto self = shared_from_this();
-  if (scheduler_->enqueue([self] { self->run_background_minor(); })) {
-    ++bg_queued_;
-  } else {
-    minor_inflight_ = false;  // scheduler stopping; flush() rescues later
+void Tablet::flush_oldest_locked(std::unique_lock<std::mutex>& lock) {
+  // Oldest first: installs stay in data-seq order.
+  const FrozenMemtable target = frozen_.back();
+  std::shared_ptr<RFile> file;
+  {
+    Unlocked unlocked(lock);
+    file = build_minor_file(*target.memtable);
   }
+  install_minor_locked(target.seq, file);
 }
 
-void Tablet::maybe_enqueue_major_locked() {
-  if (!scheduler_ || major_inflight_) return;
-  if (!pick_locked()) return;
-  major_inflight_ = true;
-  auto self = shared_from_this();
-  if (scheduler_->enqueue([self] { self->run_background_major(); })) {
-    ++bg_queued_;
-  } else {
-    major_inflight_ = false;
-  }
-}
-
-std::optional<CompactionPick> Tablet::pick_locked() const {
-  const auto v = versions_.current();
-  const bool pressure = v->file_count() >= config_->max_tablet_files;
-  return pick_compaction(*v, config_->compaction, pressure);
-}
-
-void Tablet::run_background_minor() {
-  std::unique_lock lock(mutex_);
-  while (!frozen_.empty()) {
-    const FrozenMemtable target = frozen_.back();  // oldest first
-    lock.unlock();
-    std::shared_ptr<RFile> file;
-    bool ok = true;
-    try {
-      auto cells = build_minor_cells(*target.memtable);
-      if (!cells.empty()) {
-        file = RFile::from_sorted(std::move(cells), config_->rfile);
-      }
-    } catch (const std::exception& e) {
-      // Contained exactly like an inline threshold flush: the frozen
-      // memtable stays queued in memory (and in the WAL) and a later
-      // trigger or an explicit flush() retries it.
-      GRAPHULO_WARN << "Tablet[" << extent_.start_row << ","
-                    << extent_.end_row
-                    << "): background flush failed, keeping memtable "
-                    << "frozen for retry: " << e.what();
-      ok = false;
-    }
-    lock.lock();
-    if (!ok) break;
-    try {
-      install_minor_locked(target.seq, file);
-    } catch (const util::TransientError& e) {
-      // The version install faulted: the frozen memtable is untouched
-      // (install fires before any state change) and a later trigger or
-      // explicit flush() retries it.
-      GRAPHULO_WARN << "Tablet: background flush install failed "
-                    << "transiently, keeping memtable frozen: " << e.what();
-      break;
-    }
-    maybe_enqueue_major_locked();
-  }
-  minor_inflight_ = false;
-  ++bg_completed_;
-  state_cv_.notify_all();
-}
-
-void Tablet::run_background_major() {
-  std::unique_lock lock(mutex_);
+bool Tablet::compact_picked_locked(std::unique_lock<std::mutex>& lock) {
   const auto pick = pick_locked();
-  if (!pick) {
-    major_inflight_ = false;
-    ++bg_completed_;
-    state_cv_.notify_all();
-    return;
-  }
+  if (!pick) return false;
   // Delete markers drop only when the output is bottommost for its key
   // range AND nothing newer is buffered (a frozen memtable may hold a
   // write the markers must still suppress at scan time).
   const bool drop = pick->bottommost && frozen_.empty();
-  lock.unlock();
-
   std::shared_ptr<RFile> output;
   std::size_t out_cells = 0;
-  bool ok = true;
-  try {
+  {
+    Unlocked unlocked(lock);
     TRACE_SPAN("tablet.compact");
+    // Before any state change, like the flush site.
     util::fault::point(util::fault::sites::kTabletCompact);
     auto cells = merge_compaction_inputs(pick->inputs, drop, *config_,
                                          config_->iterators);
@@ -311,69 +288,31 @@ void Tablet::run_background_major() {
     if (!cells.empty()) {
       output = RFile::from_sorted(std::move(cells), config_->rfile);
     }
-  } catch (const std::exception& e) {
-    GRAPHULO_WARN << "Tablet[" << extent_.start_row << "," << extent_.end_row
-                  << "): background compaction failed, keeping "
-                  << "inputs: " << e.what();
-    ok = false;
   }
-
-  lock.lock();
-  bool installed = false;
-  if (ok) {
-    VersionEdit edit;
-    for (const FileMeta& m : pick->inputs) edit.removed.push_back(m.file_id);
-    if (output) {
-      edit.added.push_back(FileMeta::describe(
-          output, static_cast<int>(pick->output_level),
-          max_input_seq(pick->inputs)));
-    }
-    try {
-      // apply_edit rejects the edit when an input vanished (an explicit
-      // major_compact() raced us and already merged it): discard ours.
-      installed = apply_edit_locked(edit);
-      if (installed) {
-        ++major_compactions_;
-        major_total().inc();
-        compact_cells_total().inc(out_cells);
-      } else {
-        GRAPHULO_DEBUG << "Tablet: discarding background compaction result "
-                       << "(inputs changed during merge)";
-      }
-    } catch (const util::TransientError& e) {
-      GRAPHULO_WARN << "Tablet: background compaction install failed "
-                    << "transiently, keeping inputs: " << e.what();
-    }
+  VersionEdit edit;
+  for (const FileMeta& m : pick->inputs) edit.removed.push_back(m.file_id);
+  if (output) {
+    edit.added.push_back(FileMeta::describe(
+        output, static_cast<int>(pick->output_level),
+        max_input_seq(pick->inputs)));
   }
-  major_inflight_ = false;
-  ++bg_completed_;
-  // Cascade: this install may have pushed the next level over budget.
-  if (installed) maybe_enqueue_major_locked();
-  state_cv_.notify_all();
+  // apply_edit rejects the edit when an input vanished (an explicit
+  // major_compact() raced us and already merged it): discard ours.
+  if (!apply_edit_locked(edit)) {
+    GRAPHULO_DEBUG << "Tablet: discarding compaction result (inputs "
+                   << "changed during merge)";
+    return false;
+  }
+  ++major_compactions_;
+  major_total().inc();
+  compact_cells_total().inc(out_cells);
+  return true;
 }
 
-void Tablet::run_compaction_locked(const CompactionPick& pick) {
-  TRACE_SPAN("tablet.compact");
-  // Before any state change, like the flush site above.
-  util::fault::point(util::fault::sites::kTabletCompact);
-  // Same drop rule as the background path: bottommost + nothing frozen.
-  const bool drop = pick.bottommost && frozen_.empty();
-  auto cells = merge_compaction_inputs(pick.inputs, drop, *config_,
-                                       config_->iterators);
-  const std::size_t out_cells = cells.size();
-  VersionEdit edit;
-  for (const FileMeta& m : pick.inputs) edit.removed.push_back(m.file_id);
-  if (!cells.empty()) {
-    edit.added.push_back(FileMeta::describe(
-        RFile::from_sorted(std::move(cells), config_->rfile),
-        static_cast<int>(pick.output_level), max_input_seq(pick.inputs)));
-  }
-  if (apply_edit_locked(edit)) {
-    ++major_compactions_;
-    major_total().inc();
-    compact_cells_total().inc(out_cells);
-    state_cv_.notify_all();
-  }
+std::optional<CompactionPick> Tablet::pick_locked() const {
+  const auto v = versions_.current();
+  const bool pressure = v->file_count() >= config_->max_tablet_files;
+  return pick_compaction(*v, config_->compaction, pressure);
 }
 
 bool Tablet::apply_edit_locked(const VersionEdit& edit) {
@@ -407,55 +346,31 @@ void Tablet::install_minor_locked(std::uint64_t seq,
 
 void Tablet::flush() {
   std::unique_lock lock(mutex_);
-  // Let an in-flight background flush finish rather than duplicating
-  // its work, then drain whatever is left inline.
-  if (scheduler_) state_cv_.wait(lock, [&] { return !minor_inflight_; });
-  flush_locked();
+  flush_locked(lock);
 }
 
-void Tablet::flush_locked() {
-  // Rescue path: frozen memtables whose background flush failed (or
-  // was never queued) drain here, oldest first, preserving seq order.
-  while (!frozen_.empty()) {
-    const FrozenMemtable target = frozen_.back();
-    auto cells = build_minor_cells(*target.memtable);
-    std::shared_ptr<RFile> file;
-    if (!cells.empty()) {
-      file = RFile::from_sorted(std::move(cells), config_->rfile);
-    }
-    install_minor_locked(target.seq, file);
+void Tablet::flush_locked(std::unique_lock<std::mutex>& lock) {
+  // Take the minor task over from whoever runs it, then drain
+  // everything: frozen memtables a failed task left behind first, the
+  // active memtable last.
+  state_cv_.wait(lock, [&] { return !minor_inflight_; });
+  freeze_active_locked();
+  minor_inflight_ = true;
+  std::exception_ptr failure;
+  try {
+    while (!frozen_.empty()) flush_oldest_locked(lock);
+  } catch (...) {
+    failure = std::current_exception();
   }
-  if (memtable_->empty()) return;
-  const std::uint64_t seq = next_data_seq_;
-  auto cells = build_minor_cells(*memtable_);
-  if (!cells.empty()) {
-    auto file = RFile::from_sorted(std::move(cells), config_->rfile);
-    VersionEdit edit;
-    edit.added.push_back(FileMeta::describe(file, /*level=*/0, seq));
-    // May fault: nothing is committed until the install lands.
-    apply_edit_locked(edit);
-    flush_cells_total().inc(file->entry_count());
-  }
-  // Past every fault site: commit the sequence number and start a fresh
-  // memtable (readers may still hold the flushed one).
-  ++next_data_seq_;
-  memtable_ = std::make_shared<Memtable>();
-  ++minor_compactions_;
-  flush_total().inc();
+  minor_inflight_ = false;
   state_cv_.notify_all();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void Tablet::major_compact(const std::vector<IteratorSetting>& once) {
   std::unique_lock lock(mutex_);
-  if (scheduler_) {
-    state_cv_.wait(lock,
-                   [&] { return !minor_inflight_ && !major_inflight_; });
-  }
-  flush_locked();
-  major_compact_locked(once);
-}
-
-void Tablet::major_compact_locked(const std::vector<IteratorSetting>& once) {
+  state_cv_.wait(lock, [&] { return !minor_inflight_ && !major_inflight_; });
+  flush_locked(lock);
   // A single file is still rewritten: one-shot majc-scope iterators
   // (table_apply / table_filter) and delete resolution depend on every
   // cell passing through the compaction stack.

@@ -29,21 +29,25 @@
 // active memtable aside (into the frozen list, or drops the tablet's
 // reference after the flush lands) and starts a fresh one.
 //
-// Two compaction execution modes:
-//
-//  - Inline (no CompactionScheduler attached, the default): threshold
-//    flushes run synchronously inside apply(), then the picker loop
-//    settles every over-budget level before the writer returns.
-//
-//  - Background (CompactionScheduler attached): a threshold crossing
-//    freezes the active memtable (an O(1) move of the memtable object
-//    into the frozen list) and enqueues the flush on the scheduler;
-//    writers continue into a fresh memtable. One picked
-//    compaction runs off-thread at a time; a completed install
-//    re-checks the picker so cascades (L0->L1 overflowing L1) drain.
-//    Back-pressure: writers block when the file count reaches
-//    TableConfig::max_tablet_files or too many frozen memtables pile
-//    up, until background compactions catch up.
+// Maintenance: two tasks bound a tablet's memory and file count. The
+// minor task writes the frozen memtables out, oldest first; the major
+// task runs one picked compaction. A write that fills the active
+// memtable freezes it (an O(1) move into the frozen list) and queues the
+// minor task, plus the major task when the picker has work. With a
+// CompactionScheduler attached, its pool runs them; without one, or
+// when the pool refuses them, the writer that queued them runs them
+// before apply() returns. Either way a task releases the tablet lock for
+// its build or merge and retakes it for the install, so other writers
+// and scans go on meanwhile, and it contains its own failure: the
+// memtable stays frozen, or the inputs stay, until the next trigger or
+// an explicit flush(). A task runs on one thread at a time and the
+// in-flight flags name its owner: a writer that fills a memtable while
+// the minor task runs only freezes it, and the running drain picks it
+// up. A completed install re-checks the picker, so cascades (L0->L1
+// overflowing L1) drain. Back-pressure: writers block when the file
+// count reaches TableConfig::max_tablet_files or too many frozen
+// memtables pile up, until the tasks catch up; a blocked writer with
+// nothing in flight runs the queued tasks itself.
 //
 // Ordering: minor flushes install in data-seq order (oldest frozen
 // first), so every live file is older than every pending frozen
@@ -105,8 +109,9 @@ struct TabletStats {
   std::vector<std::uint64_t> level_bytes;
   std::size_t minor_compactions = 0;
   std::size_t major_compactions = 0;
-  /// Background-compaction accounting (0 unless a scheduler is
-  /// attached).
+  /// Pool accounting: maintenance tasks queued on and completed by the
+  /// scheduler's pool (0 unless a scheduler is attached), and tasks in
+  /// flight on any thread.
   std::size_t compactions_queued = 0;
   std::size_t compactions_completed = 0;
   std::size_t compactions_in_flight = 0;
@@ -119,9 +124,10 @@ struct TabletStats {
   /// files and their blocks are proactively erased.
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  /// Inline back-pressure reliefs (flush+compact under the write lock
-  /// because nothing could be queued) and reliefs that failed even
-  /// after bounded retries.
+  /// Back-pressure reliefs: waits in which the blocked writer ran the
+  /// queued tasks itself because no pool took them, and reliefs in which
+  /// one of those tasks failed (the write then went ahead over the
+  /// ceiling).
   std::size_t relief_runs = 0;
   std::size_t relief_failures = 0;
 };
@@ -159,30 +165,32 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// shared_ptr-owned when attaching.
   void set_compaction_scheduler(CompactionScheduler* s);
 
-  /// Applies a mutation whose row must be inside this extent.
-  /// Triggers a minor compaction (flush) when the memtable exceeds the
-  /// configured threshold, then whatever compactions the level picker
-  /// is due — inline without a scheduler, enqueued in the background
-  /// with one. A TRANSIENT failure of those threshold-triggered
-  /// compactions is contained (warned, data kept in memory, retried by
-  /// a later write); the mutation itself has already landed and
-  /// apply() still succeeds. May block on back-pressure in background
-  /// mode.
+  /// Applies a mutation whose row must be inside this extent. When the
+  /// memtable reaches the configured threshold, freezes it and queues
+  /// the minor task, plus the major task when the level picker has
+  /// work; without a scheduler (or when its pool refuses them) runs
+  /// them before returning. Any failure of those threshold-triggered
+  /// tasks is contained (warned, data kept in memory, retried by a
+  /// later trigger); the mutation itself has already landed and apply()
+  /// still succeeds. May block on back-pressure.
   void apply(const Mutation& mutation, Timestamp assigned_ts);
 
   /// Inserts one pre-formed cell (compaction/move path).
   void insert_cell(Cell cell);
 
-  /// Flushes the memtable (and any frozen memtables) into immutable
-  /// L0 files through the minc-scope iterator stack, synchronously: on
-  /// return nothing is buffered in memory. Waits for an in-flight
-  /// background flush rather than duplicating it. No-op when nothing
-  /// is buffered; a flush whose minc stack drops every cell installs
-  /// no file.
+  /// Freezes the memtable and writes every frozen memtable, oldest
+  /// first, into immutable L0 files through the minc-scope iterator
+  /// stack, synchronously: for a single-threaded caller nothing is
+  /// buffered in memory on return. Waits for an in-flight minor task
+  /// (on the pool or another writer) rather than duplicating it. Throws
+  /// when a build or install fails, the memtable still frozen. No-op
+  /// when nothing is buffered; a flush whose minc stack drops every
+  /// cell installs no file.
   void flush();
 
-  /// Merges ALL files (flushing the memtable first) through the
-  /// majc-scope iterator stack into a single file, synchronously.
+  /// Merges ALL files (flushing the memtable first, after any in-flight
+  /// task) through the majc-scope iterator stack into a single file,
+  /// synchronously and under the tablet lock.
   /// `once` joins that stack for this compaction only, merged into the
   /// config's iterators by priority (Accumulo's one-time compaction
   /// iterators). Delete markers are dropped (full-major compaction
@@ -242,26 +250,51 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
     std::shared_ptr<const Memtable> memtable;
   };
 
+  /// The two maintenance tasks, as bits of a task set.
+  enum Task : unsigned { kMinorTask = 1u, kMajorTask = 2u };
+
   /// Pins the current cut's sources (active memtable and its count,
   /// frozen list, current Version) in O(1) — the open_snapshot payload
   /// and the basis of every scan stack.
   PinnedSources pinned_sources_locked() const;
-  /// Threshold flush/compact: inline (failure-contained) without a
-  /// scheduler, freeze + enqueue with one.
-  void maybe_compact_locked();
-  void flush_locked();
-  void major_compact_locked(const std::vector<IteratorSetting>& once = {});
-  /// Runs the minc-scope stack over one memtable that takes no writes
-  /// meanwhile (frozen, or the active one under the lock); fires the
-  /// flush fault site.
-  std::vector<Cell> build_minor_cells(const Memtable& memtable) const;
+  /// After a write: once the active memtable reaches the flush
+  /// threshold, freezes it and queues the tasks, running the ones no
+  /// pool took before returning.
+  void maybe_compact_locked(std::unique_lock<std::mutex>& lock);
+  /// Blocks the writer while files or frozen memtables exceed their
+  /// ceilings, until the tasks bring them down. With nothing in flight
+  /// the writer runs the queued tasks itself; if one fails, the write
+  /// goes ahead over the ceiling rather than retry it.
+  void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
   /// Moves the active memtable into frozen_ and starts a fresh one
-  /// (no-op when empty), and makes sure a background flush is queued.
-  /// O(1). Requires scheduler_.
+  /// (no-op when empty). O(1).
   void freeze_active_locked();
-  void enqueue_minor_locked();
-  /// Enqueues a background compaction when the picker has work.
-  void maybe_enqueue_major_locked();
+  /// Claims each task of `wanted` that is due and not in flight (the
+  /// minor task while memtables are frozen, the major task while the
+  /// picker has work) and hands it to the scheduler's pool. Returns the
+  /// claimed tasks no pool took: the caller must run them.
+  unsigned queue_tasks_locked(unsigned wanted);
+  /// Runs the claimed tasks `owned` on this thread, minor first, and
+  /// every task they queue that no pool takes. Each failure is contained
+  /// (warned, left for the next trigger); false when a task failed.
+  bool run_tasks_locked(std::unique_lock<std::mutex>& lock, unsigned owned);
+  /// Writes the oldest frozen memtable to an L0 file, built without the
+  /// lock and installed under it. Throws, the memtable still frozen,
+  /// when the build or the install fails. The caller owns the minor
+  /// task.
+  void flush_oldest_locked(std::unique_lock<std::mutex>& lock);
+  /// Runs one picked compaction, merged without the lock and installed
+  /// under it. False when nothing is due or a racing major_compact()
+  /// already merged an input. Throws, the inputs kept, when the merge
+  /// or the install fails. The caller owns the major task.
+  bool compact_picked_locked(std::unique_lock<std::mutex>& lock);
+  /// flush(): takes the minor task once nobody runs it, freezes the
+  /// active memtable and drains the frozen list. Throws on failure.
+  void flush_locked(std::unique_lock<std::mutex>& lock);
+  /// Runs the minc-scope stack over a frozen memtable into an RFile
+  /// (null when the stack drops every cell); fires the flush fault
+  /// site.
+  std::shared_ptr<RFile> build_minor_file(const Memtable& memtable) const;
   /// Removes frozen entry `seq` and installs `file` (nullptr = the
   /// minc stack dropped everything) as an L0 file.
   void install_minor_locked(std::uint64_t seq,
@@ -273,28 +306,22 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// Asks the picker for the next due compaction on the current
   /// version (level fullness and back-pressure).
   std::optional<CompactionPick> pick_locked() const;
-  /// Executes one picked compaction synchronously under the lock
-  /// (inline mode and back-pressure relief).
-  void run_compaction_locked(const CompactionPick& pick);
-  /// Blocks the writer while files/frozen memtables exceed their
-  /// ceilings (background mode only), keeping compactions queued.
-  void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
-  void run_background_minor();
-  void run_background_major();
 
   TabletExtent extent_;
   std::shared_ptr<const TableConfig> config_;  ///< immutable: no lock
   std::shared_ptr<BlockCache> cache_;
   CompactionScheduler* scheduler_ = nullptr;  ///< non-owning
   mutable std::mutex mutex_;
-  /// Signalled on every install/completion: back-pressure waits,
-  /// flush()'s drain wait.
+  /// Signalled on every install and task end: back-pressure waits,
+  /// flush()'s and major_compact()'s in-flight waits.
   mutable std::condition_variable state_cv_;
   /// The active memtable. Replaced, never cleared: pins may hold it.
   std::shared_ptr<Memtable> memtable_ = std::make_shared<Memtable>();
   std::vector<FrozenMemtable> frozen_;  ///< sorted by seq, newest first
   VersionSet versions_;                 ///< the leveled file set
   std::uint64_t next_data_seq_ = 1;
+  /// Set while a thread (a pool worker, a writer, or flush()) owns the
+  /// task: from its claim until it ends.
   bool minor_inflight_ = false;
   bool major_inflight_ = false;
   std::size_t minor_compactions_ = 0;

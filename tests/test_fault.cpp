@@ -449,6 +449,70 @@ TEST_F(FaultTest, ThresholdFlushFailureIsContainedNotLost) {
   EXPECT_EQ(cells_of(db, "t").size(), 6u);
 }
 
+// A fatal fault is contained like a transient one: the mutation is in
+// the memtable before its threshold flush runs, so an error escaping
+// apply() would make the BatchWriter send it a second time.
+TEST_F(FaultTest, FatalThresholdFlushAppliesOnce) {
+  Instance db;
+  TableConfig cfg = core::sum_table_config();
+  cfg.flush_entries = 1;  // the one mutation triggers a flush
+  db.create_table("c", std::move(cfg));
+  fault::FaultSpec spec;
+  spec.fire_on_hits = {1};
+  spec.fatal = true;
+  fault::arm(sites::kMemtableFlush, spec);
+
+  BatchWriter bw(db, "c");
+  Mutation m("r");
+  m.put("f", "q", encode_double(1.0));
+  bw.add_mutation(std::move(m));
+  EXPECT_NO_THROW(bw.flush());
+  EXPECT_EQ(fault::stats(sites::kMemtableFlush).fires, 1u);
+  EXPECT_EQ(bw.mutations_pending(), 0u);
+  bw.flush();  // nothing left to resend
+  const auto sums = value_map(db, "c");
+  ASSERT_EQ(sums.size(), 1u);
+  EXPECT_EQ(sums.at("r|f|q"), 1.0);
+}
+
+// Flushes and compactions that always fail, on a table without a
+// scheduler: every threshold flush and every back-pressure relief
+// fails. A failed task is never retried in a loop, so each write still
+// returns and keeps its cell; once the faults clear, a flush writes
+// every frozen memtable out.
+TEST_F(FaultTest, PersistentInlineFlushFaultNeverSpins) {
+  Instance db;
+  db.set_retry_policy(test_retry());
+  TableConfig cfg;
+  cfg.flush_entries = 4;
+  cfg.max_tablet_files = 2;
+  db.create_table("t", std::move(cfg));
+  const auto put = [&db](int i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 3));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  };
+  fault::FaultSpec always;
+  always.probability = 1.0;
+  // Compactions fail first: two flushes reach the file ceiling, so the
+  // writes after them find a compaction due that cannot run.
+  fault::arm(sites::kTabletCompact, always);
+  for (int i = 0; i < 12; ++i) put(i);
+  // Then flushes fail too, and frozen memtables pile up past theirs.
+  fault::arm(sites::kMemtableFlush, always);
+  for (int i = 12; i < 60; ++i) put(i);
+  EXPECT_GE(fault::stats(sites::kTabletCompact).fires, 1u);
+  EXPECT_GE(fault::stats(sites::kMemtableFlush).fires, 1u);
+  EXPECT_EQ(cells_of(db, "t").size(), 60u);
+
+  fault::reset();
+  db.flush("t");
+  const auto tablet = db.tablets_for_range("t", nosql::Range::all())[0].first;
+  EXPECT_EQ(tablet->stats().frozen_memtables, 0u);
+  EXPECT_EQ(tablet->stats().memtable_entries, 0u);
+  EXPECT_EQ(cells_of(db, "t").size(), 60u);
+}
+
 // ---------------------------------------------------------------------------
 // TableMult partition retry + deadline
 // ---------------------------------------------------------------------------
@@ -489,8 +553,9 @@ TEST_F(FaultTest, TableMultRetriesFailedPartitionsExactlyOnce) {
   // join, before the attempt's accumulator has emitted anything. The
   // batch_writer.flush run is six fires in a row, one more than the
   // writer's five attempts: the single partition's writer applies its
-  // first two drained mutations, then gives up on the third, so the
-  // retry must skip exactly that durable prefix.
+  // first two drained mutations, then gives up on the third. The retry
+  // resends the whole stream, and C skips the two it already holds by
+  // (writer id, seq).
   struct Case {
     const char* site;
     std::vector<std::uint64_t> fire_on_hits;

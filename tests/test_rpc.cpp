@@ -1001,7 +1001,9 @@ TEST(PartitionPlanning, SkewedTablesNeverYieldEmptyRanges) {
   // 3 distinct rows, 400 cells: every sampled split collides.
   for (int i = 0; i < 400; ++i) {
     nosql::Mutation m(assoc::vertex_key(i % 3));
-    m.put("f", "q" + std::to_string(i), "1");
+    std::string qualifier = std::to_string(i);
+    qualifier.insert(0, 1, 'q');
+    m.put("f", qualifier, "1");
     db.apply("T", m);
   }
   for (const std::size_t target : {2u, 4u, 8u, 16u}) {

@@ -1,6 +1,7 @@
 // The asynchronous write path: WAL group commit (sync modes and
 // durability), the background flush/compaction scheduler (racing scans,
-// back-pressure, quiesce), the RFile block cache (LRU semantics,
+// back-pressure, quiesce), tablet maintenance run by the writer when no
+// scheduler is attached, the RFile block cache (LRU semantics,
 // counters), one-shot compaction iterators, table lifetime (what keeps
 // a tablet, its config and its block cache alive), and writer streams
 // (the table's (writer id, seq) dedup behind exactly-once resends).
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -495,6 +497,156 @@ TEST(FlushEarlyOut, MincStackDroppingEverythingInstallsNoFile) {
   tablet.flush();
   EXPECT_EQ(tablet.stats().file_count, 0u);
   EXPECT_EQ(tablet.stats().memtable_entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Tablet maintenance without a scheduler
+
+/// Table "t" on an Instance without a scheduler, flushing every 4
+/// entries, whose first flush blocks inside its minc stack until
+/// `released` opens: the writer that filled the memtable is then held
+/// in the middle of its own flush.
+struct HeldFlushTable {
+  std::latch entered{1};
+  std::latch released{1};
+  std::atomic<int> builds{0};
+  Instance db{1};
+
+  HeldFlushTable() {
+    TableConfig cfg;
+    cfg.flush_entries = 4;
+    IteratorSetting hold;
+    hold.name = "hold";
+    hold.scopes = kMincScope;
+    hold.factory = [this](IterPtr source) {
+      if (builds.fetch_add(1) == 0) {
+        entered.count_down();
+        released.wait();
+      }
+      return source;
+    };
+    cfg.attach_iterator(std::move(hold));
+    db.create_table("t", cfg);
+  }
+
+  void put(int i) {
+    Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 2));
+    m.put("f", "q", "v");
+    db.apply("t", m);
+  }
+};
+
+/// The bounded wait of the tests below: a call that waits for the held
+/// flush fails the test instead of hanging it.
+std::chrono::steady_clock::time_point held_flush_deadline() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(2);
+}
+
+// The writer runs its flush outside the tablet lock: while the flush is
+// held, another writer and a scan of the same tablet finish.
+TEST(TabletMaintenance, WritersAndScansProceedDuringInlineFlush) {
+  HeldFlushTable t;
+  for (int i = 0; i < 3; ++i) t.put(i);
+  std::thread filler([&] { t.put(3); });  // fills the memtable
+  t.entered.wait();
+
+  const auto deadline = held_flush_deadline();
+  auto writer = std::async(std::launch::async, [&] { t.put(4); });
+  const bool wrote = writer.wait_until(deadline) == std::future_status::ready;
+  auto scan = std::async(std::launch::async, [&] {
+    Scanner s(t.db, "t");
+    return s.read_all().size();
+  });
+  const bool scanned = scan.wait_until(deadline) == std::future_status::ready;
+  t.released.count_down();
+  filler.join();
+  writer.get();
+  EXPECT_TRUE(wrote) << "a write waited for another writer's flush";
+  EXPECT_TRUE(scanned) << "a scan waited for a writer's flush";
+  EXPECT_EQ(scan.get(), 5u);  // four frozen cells and the new one
+}
+
+// A writer that fills a memtable while another writer's flush runs only
+// freezes it; the running drain writes it out too.
+TEST(TabletMaintenance, FreezeDuringInlineFlushJoinsThatDrain) {
+  HeldFlushTable t;
+  for (int i = 0; i < 3; ++i) t.put(i);
+  std::thread filler([&] { t.put(3); });
+  t.entered.wait();
+  const auto tablet = t.db.tablets_for_range("t", Range::all())[0].first;
+
+  const auto deadline = held_flush_deadline();
+  auto writer = std::async(std::launch::async, [&] {
+    for (int i = 4; i < 8; ++i) t.put(i);
+  });
+  const bool wrote = writer.wait_until(deadline) == std::future_status::ready;
+  TabletStats during;
+  if (wrote) during = tablet->stats();
+  t.released.count_down();
+  filler.join();
+  writer.get();
+  ASSERT_TRUE(wrote) << "a write waited for another writer's flush";
+  EXPECT_EQ(during.frozen_memtables, 2u);
+  EXPECT_EQ(during.compactions_in_flight, 1u);  // the held minor task
+
+  const auto after = tablet->stats();
+  EXPECT_EQ(after.frozen_memtables, 0u);
+  EXPECT_EQ(after.minor_compactions, 2u);
+  EXPECT_EQ(after.file_count, 2u);
+  EXPECT_EQ(t.builds.load(), 2);
+  Scanner scan(t.db, "t");
+  EXPECT_EQ(scan.read_all().size(), 8u);
+}
+
+// Four writers without a scheduler: each runs the flushes and
+// compactions it triggers while the others keep writing, freeze
+// memtables for its drain, and wait on back-pressure.
+// Overwrites cross the memtable / frozen / file boundary with explicit
+// timestamps, so the racing run must read exactly like the same writes
+// applied one writer at a time.
+TEST(TabletMaintenance, RacingWritersWithoutSchedulerMatchSerialRun) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 600;
+  const auto write = [](Instance& db, int w) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      Mutation m("w" + std::to_string(w) + "-" +
+                 util::zero_pad(static_cast<std::uint64_t>(i % 500), 3));
+      m.put("f", "q", "", static_cast<Timestamp>(i + 1),
+            "v" + std::to_string(i));
+      db.apply("t", m);
+    }
+  };
+  TableConfig cfg;
+  cfg.flush_entries = 50;
+  cfg.compaction.level0_trigger = 2;
+  cfg.max_tablet_files = 4;
+  const auto run = [&](bool racing) {
+    Instance db(1);
+    db.create_table("t", cfg);
+    if (racing) {
+      std::vector<std::thread> writers;
+      for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back(write, std::ref(db), w);
+      }
+      for (auto& th : writers) th.join();
+    } else {
+      for (int w = 0; w < kWriters; ++w) write(db, w);
+    }
+    EXPECT_GT(db.tablets_for_range("t", Range::all())[0]
+                  .first->stats()
+                  .major_compactions,
+              0u);
+    std::vector<std::string> fingerprints;
+    Scanner live(db, "t");
+    fingerprints.push_back(cells_fingerprint(live.read_all()));
+    db.compact("t");
+    Scanner compacted(db, "t");
+    fingerprints.push_back(cells_fingerprint(compacted.read_all()));
+    return fingerprints;
+  };
+  const auto serial = run(false);
+  EXPECT_EQ(serial[0], serial[1]);
+  EXPECT_EQ(run(true), serial);
 }
 
 // ---------------------------------------------------------------------------
