@@ -9,7 +9,9 @@
 //                          (memtable + frozen, versions and delete
 //                          markers preserved), the logical clock, the
 //                          covered WAL sequence, and the artifact epoch
-//                          — CRC-protected, written tmp + rename.
+//                          — one wire section (magic "GCK2" | len u64 |
+//                          payload | crc32(payload), see codec.hpp),
+//                          written tmp + rename.
 //   <path>.manifest-<E>    a MANIFEST (see manifest.hpp): one
 //                          VersionEdit per tablet describing its
 //                          leveled file set (level, key range, seq,
@@ -76,7 +78,10 @@ CheckpointStats write_checkpoint(Instance& db,
                                  const std::string& checkpoint_path);
 
 /// Rebuilds `db` (normally fresh) from `checkpoint_path` +
-/// `wal_path`: loads the main snapshot when present and valid (CRC),
+/// `wal_path`: loads the main snapshot when present and valid (a
+/// foreign magic, a length longer than the file, a CRC mismatch or a
+/// malformed payload each reject it, and recovery falls back to the
+/// full log),
 /// restores the catalog, replays the manifest to reload every RFile
 /// into its recorded level, restores unflushed cells, then replays the
 /// WAL tail (records at or past the checkpoint's covered sequence; the

@@ -1,7 +1,13 @@
 #include "nosql/codec.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
+#include <istream>
+#include <ostream>
+
+#include "util/checksum.hpp"
 
 namespace graphulo::nosql {
 
@@ -64,23 +70,20 @@ namespace wire {
 
 namespace {
 
-void put_le(std::string& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
 std::uint64_t get_le(Cursor& c, std::size_t bytes) {
   if (c.remaining() < bytes) {
     throw WireError("wire: truncated integer (need " + std::to_string(bytes) +
                     " bytes, have " + std::to_string(c.remaining()) + ")");
   }
   std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(c.data[c.pos + i]))
-         << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, c.data + c.pos, bytes);
+  } else {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(c.data[c.pos + i]))
+           << (8 * i);
+    }
   }
   c.pos += bytes;
   return v;
@@ -93,20 +96,6 @@ void Cursor::expect_end() const {
     throw WireError("wire: " + std::to_string(size - pos) +
                     " trailing bytes after message end");
   }
-}
-
-void put_u8(std::string& out, std::uint8_t v) { put_le(out, v, 1); }
-void put_u16(std::string& out, std::uint16_t v) { put_le(out, v, 2); }
-void put_u32(std::string& out, std::uint32_t v) { put_le(out, v, 4); }
-void put_u64(std::string& out, std::uint64_t v) { put_le(out, v, 8); }
-void put_i64(std::string& out, std::int64_t v) {
-  put_le(out, static_cast<std::uint64_t>(v), 8);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  if (s.size() > UINT32_MAX) throw WireError("wire: string too long");
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
 }
 
 std::uint8_t get_u8(Cursor& c) { return static_cast<std::uint8_t>(get_le(c, 1)); }
@@ -130,15 +119,6 @@ std::string get_string(Cursor& c) {
   return s;
 }
 
-void put_key(std::string& out, const Key& key) {
-  put_string(out, key.row);
-  put_string(out, key.family);
-  put_string(out, key.qualifier);
-  put_string(out, key.visibility);
-  put_i64(out, key.ts);
-  put_u8(out, key.deleted ? 1 : 0);
-}
-
 Key get_key(Cursor& c) {
   Key k;
   k.row = get_string(c);
@@ -148,11 +128,6 @@ Key get_key(Cursor& c) {
   k.ts = get_i64(c);
   k.deleted = get_u8(c) != 0;
   return k;
-}
-
-void put_cell(std::string& out, const Cell& cell) {
-  put_key(out, cell.key);
-  put_string(out, cell.value);
 }
 
 Cell get_cell(Cursor& c) {
@@ -216,6 +191,54 @@ Range get_range(Cursor& c) {
   if (r.has_start) r.start = get_key(c);
   if (r.has_end) r.end = get_key(c);
   return r;
+}
+
+void write_section(std::ostream& out, std::uint32_t magic,
+                   const std::string& body) {
+  std::string head;
+  put_u32(head, magic);
+  put_u64(head, body.size());
+  std::string tail;
+  put_u32(tail, util::crc32(body.data(), body.size()));
+  out.write(head.data(), static_cast<std::streamsize>(head.size()));
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+}
+
+std::string read_section(std::istream& in, std::uint32_t magic) {
+  char head[12];
+  if (!in.read(head, sizeof(head))) {
+    throw WireError("section: truncated frame head");
+  }
+  Cursor c(head, sizeof(head));
+  if (get_u32(c) != magic) throw WireError("section: foreign magic");
+  const std::uint64_t len = get_u64(c);
+  // What the stream still holds bounds the length before the body is
+  // allocated: a flipped high bit must read as corruption, not as a
+  // request for exabytes.
+  const std::istream::pos_type body_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(body_at);
+  if (body_at < 0 || end < body_at || !in) {
+    throw WireError("section: stream is not seekable");
+  }
+  const auto held = static_cast<std::uint64_t>(end - body_at);
+  if (held < sizeof(std::uint32_t) || len > held - sizeof(std::uint32_t)) {
+    throw WireError("section: length " + std::to_string(len) +
+                    " exceeds the " + std::to_string(held) + " bytes left");
+  }
+  std::string body(static_cast<std::size_t>(len), '\0');
+  char crc[4];
+  if (!in.read(body.data(), static_cast<std::streamsize>(len)) ||
+      !in.read(crc, sizeof(crc))) {
+    throw WireError("section: truncated body");
+  }
+  Cursor t(crc, sizeof(crc));
+  if (get_u32(t) != util::crc32(body.data(), body.size())) {
+    throw WireError("section: CRC mismatch");
+  }
+  return body;
 }
 
 }  // namespace wire

@@ -9,11 +9,15 @@
 // Row/column keys that represent vertex indices use zero-padded decimal
 // so lexicographic key order equals numeric order (util::zero_pad).
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <iosfwd>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "nosql/key.hpp"
 #include "nosql/mutation.hpp"
@@ -41,11 +45,18 @@ std::string encode_u64_be(std::uint64_t v);
 std::optional<std::uint64_t> decode_u64_be(const std::string& bytes);
 
 // ---- wire codecs --------------------------------------------------------
-// Fixed-width little-endian binary encoding of the store's data types
-// for the RPC wire (src/rpc) and any other process-boundary format.
-// Strings are u32-length-prefixed. Decoding is fully bounds-checked:
-// malformed or truncated input throws WireError, never reads out of
-// bounds — the RPC layer maps it to a bad-request rejection.
+// Fixed-width little-endian binary encoding of the store's data types,
+// and the one byte codec of every format that crosses a process or
+// disk boundary: the RPC wire (src/rpc), the WAL (wal.hpp), the
+// checkpoint main file (checkpoint.hpp), the MANIFEST (manifest.hpp)
+// and the RFL3 RFile header (rfile.hpp). Strings are
+// u32-length-prefixed. The checkpoint main file and the RFile header
+// share one frame, the section (write_section / read_section):
+//   magic u32 | len u64 | body | crc32(body) u32
+// Decoding is fully bounds-checked: malformed or truncated input throws
+// WireError, never reads out of bounds. Each decoder catches it at its
+// own boundary — the RPC layer maps it to a bad-request rejection, the
+// stored formats to a rejected file or the end of a torn tail.
 
 namespace wire {
 
@@ -74,12 +85,41 @@ struct Cursor {
   void expect_end() const;
 };
 
-void put_u8(std::string& out, std::uint8_t v);
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-void put_i64(std::string& out, std::int64_t v);
-void put_string(std::string& out, const std::string& s);
+// Writers are inline: the WAL encodes every mutation through them. Each
+// integer is one append; on a little-endian host its bytes are the
+// value's own.
+namespace detail {
+template <typename T>
+inline void put_le(std::string& out, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  char bytes[sizeof(T)];
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &v, sizeof(T));
+  } else {
+    for (char& b : bytes) {
+      b = static_cast<char>(v & 0xff);
+      v = static_cast<T>(v >> 8);
+    }
+  }
+  out.append(bytes, sizeof(T));
+}
+}  // namespace detail
+
+inline void put_u8(std::string& out, std::uint8_t v) {
+  out.push_back(static_cast<char>(v));
+}
+inline void put_u16(std::string& out, std::uint16_t v) { detail::put_le(out, v); }
+inline void put_u32(std::string& out, std::uint32_t v) { detail::put_le(out, v); }
+inline void put_u64(std::string& out, std::uint64_t v) { detail::put_le(out, v); }
+inline void put_i64(std::string& out, std::int64_t v) {
+  detail::put_le(out, static_cast<std::uint64_t>(v));
+}
+
+inline void put_string(std::string& out, const std::string& s) {
+  if (s.size() > UINT32_MAX) throw WireError("wire: string too long");
+  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  out.append(s);
+}
 
 std::uint8_t get_u8(Cursor& c);
 std::uint16_t get_u16(Cursor& c);
@@ -92,14 +132,35 @@ std::string get_string(Cursor& c);
 /// delete marker), Cell (key + value), Mutation (row + column updates)
 /// and Range (optional bounds + inclusivity flags) round-trip
 /// byte-exactly.
-void put_key(std::string& out, const Key& key);
+inline void put_key(std::string& out, const Key& key) {
+  put_string(out, key.row);
+  put_string(out, key.family);
+  put_string(out, key.qualifier);
+  put_string(out, key.visibility);
+  put_i64(out, key.ts);
+  put_u8(out, key.deleted ? 1 : 0);
+}
 Key get_key(Cursor& c);
-void put_cell(std::string& out, const Cell& cell);
+inline void put_cell(std::string& out, const Cell& cell) {
+  put_key(out, cell.key);
+  put_string(out, cell.value);
+}
 Cell get_cell(Cursor& c);
 void put_mutation(std::string& out, const Mutation& m);
 Mutation get_mutation(Cursor& c);
 void put_range(std::string& out, const Range& r);
 Range get_range(Cursor& c);
+
+/// Writes one section frame (magic u32 | len u64 | body | crc32(body)
+/// u32) to `out`; the caller checks the stream state.
+void write_section(std::ostream& out, std::uint32_t magic,
+                   const std::string& body);
+
+/// Reads one section frame from `in` and returns its body, verified
+/// against its CRC; `in` is left just past the frame. Throws WireError
+/// on a foreign magic, a length longer than the stream holds (checked
+/// before anything is allocated), truncation or a CRC mismatch.
+std::string read_section(std::istream& in, std::uint32_t magic);
 
 }  // namespace wire
 

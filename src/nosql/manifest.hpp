@@ -7,18 +7,19 @@
 // reconstructs the exact leveled structure (recovery is then
 // byte-identical, not merely cell-identical).
 //
-// Record format (little-endian, mirrors the WAL framing):
+// Record format (little-endian, encoded through nosql::wire):
 //   u32 payload_len | u32 crc32(payload) | payload
 // Payload:
 //   table | extent_start_present(u8) | extent_start |
 //   n_added(u64) | n_added x FileMetaRecord | n_removed(u64) | u64 ids
 // FileMetaRecord:
 //   file_id(u64) | level(u64) | seq(u64) | cells(u64) | bytes(u64) |
-//   first_key | last_key            (keys fully encoded incl. ts/delete)
+//   first_key | last_key            (wire::put_key: ts and delete flag
+//                                    included)
 //
 // Replay is torn-tail tolerant: decoding stops cleanly at the first
-// short, corrupt, or CRC-mismatched record and reports how many bytes
-// were valid. Fault sites: writes pass through `manifest.append`
+// short, corrupt, CRC-mismatched or undecodable record and reports how
+// many bytes were valid. Fault sites: writes pass through `manifest.append`
 // (before any bytes reach the stream, so a fired fault has no durable
 // effect and the caller may rewrite from scratch).
 

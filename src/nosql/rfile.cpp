@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <stdexcept>
 
 #include "nosql/block_cache.hpp"
 #include "nosql/block_codec.hpp"
+#include "nosql/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/checksum.hpp"
@@ -58,64 +58,6 @@ obs::Counter& decode_raw_bytes() {
       "rfile.decode.raw_bytes.total",
       "Prefix-encoded bytes run through the RFile block decoder");
   return c;
-}
-
-// ---- payload (de)serialization -----------------------------------------
-
-void append_raw(std::string& out, const void* p, std::size_t n) {
-  out.append(static_cast<const char*>(p), n);
-}
-
-void append_string(std::string& out, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  append_raw(out, &len, sizeof(len));
-  out.append(s);
-}
-
-/// Cursor over an in-memory payload; read_* return false on truncation.
-struct PayloadReader {
-  const char* p;
-  std::size_t remaining;
-
-  bool read_raw(void* dst, std::size_t n) {
-    if (remaining < n) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-
-  bool read_string(std::string& s) {
-    std::uint32_t len = 0;
-    if (!read_raw(&len, sizeof(len))) return false;
-    if (remaining < len) return false;
-    s.assign(p, len);
-    p += len;
-    remaining -= len;
-    return true;
-  }
-};
-
-void append_key(std::string& out, const Key& k) {
-  append_string(out, k.row);
-  append_string(out, k.family);
-  append_string(out, k.qualifier);
-  append_string(out, k.visibility);
-  append_raw(out, &k.ts, sizeof(k.ts));
-  const char del = k.deleted ? 1 : 0;
-  append_raw(out, &del, 1);
-}
-
-bool read_key(PayloadReader& reader, Key& k) {
-  if (!reader.read_string(k.row) || !reader.read_string(k.family) ||
-      !reader.read_string(k.qualifier) || !reader.read_string(k.visibility)) {
-    return false;
-  }
-  if (!reader.read_raw(&k.ts, sizeof(k.ts))) return false;
-  char del = 0;
-  if (!reader.read_raw(&del, 1)) return false;
-  k.deleted = del != 0;
-  return true;
 }
 
 std::size_t key_bytes(const Key& k) {
@@ -535,52 +477,38 @@ std::vector<std::string> RFile::sample_rows(std::size_t n) const {
 }
 
 // ---- disk format (RFL3) -------------------------------------------------
-// magic(4) | header_len(8) | header | crc32(header)(4) |
-// block data bytes, concatenated (lengths + per-block crc32s live in the
-// header)
+// One section (wire::write_section: magic | header_len u64 | header |
+// crc32(header)), then the block data bytes, concatenated (lengths and
+// per-block crc32s live in the header).
 
 bool RFile::write_to(const std::string& path) const {
   util::fault::point(util::fault::sites::kRFileWrite);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   std::string header;
-  const auto count = static_cast<std::uint64_t>(count_);
-  const auto stride = static_cast<std::uint64_t>(stride_);
-  const auto restart = static_cast<std::uint64_t>(restart_interval_);
-  append_raw(header, &count, sizeof(count));
-  append_raw(header, &stride, sizeof(stride));
-  append_raw(header, &restart, sizeof(restart));
-  const auto bloom_bits = static_cast<std::uint64_t>(bloom_bits_);
-  const auto bloom_words = static_cast<std::uint64_t>(bloom_.size());
-  append_raw(header, &bloom_bits, sizeof(bloom_bits));
-  append_raw(header, &bloom_words, sizeof(bloom_words));
-  append_raw(header, bloom_.data(), bloom_.size() * sizeof(std::uint64_t));
+  wire::put_u64(header, count_);
+  wire::put_u64(header, stride_);
+  wire::put_u64(header, restart_interval_);
+  wire::put_u64(header, bloom_bits_);
+  wire::put_u64(header, bloom_.size());
+  for (const std::uint64_t word : bloom_) wire::put_u64(header, word);
   if (count_ > 0) {
-    append_key(header, first_key_);
-    append_key(header, last_key_);
+    wire::put_key(header, first_key_);
+    wire::put_key(header, last_key_);
   }
-  const auto nblocks = static_cast<std::uint64_t>(blocks_.size());
-  append_raw(header, &nblocks, sizeof(nblocks));
+  wire::put_u64(header, blocks_.size());
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const EncodedBlock& block = blocks_[b];
-    append_key(header, block_first_keys_[b]);
-    append_raw(header, &block.count, sizeof(block.count));
-    append_raw(header, &block.raw_bytes, sizeof(block.raw_bytes));
-    const auto data_len = static_cast<std::uint32_t>(block.data.size());
-    append_raw(header, &data_len, sizeof(data_len));
-    const char compressed = block.compressed ? 1 : 0;
-    append_raw(header, &compressed, 1);
+    wire::put_key(header, block_first_keys_[b]);
+    wire::put_u32(header, block.count);
+    wire::put_u32(header, block.raw_bytes);
+    wire::put_u32(header, static_cast<std::uint32_t>(block.data.size()));
+    wire::put_u8(header, block.compressed ? 1 : 0);
     // Block CRCs are computed here, off the flush/compaction path: only
     // the on-disk copy needs them.
-    const std::uint32_t crc = crc32(block.data.data(), block.data.size());
-    append_raw(header, &crc, sizeof(crc));
+    wire::put_u32(header, crc32(block.data.data(), block.data.size()));
   }
-  const auto header_len = static_cast<std::uint64_t>(header.size());
-  const std::uint32_t header_crc = crc32(header.data(), header.size());
-  out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&header_len), sizeof(header_len));
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(reinterpret_cast<const char*>(&header_crc), sizeof(header_crc));
+  wire::write_section(out, kMagic, header);
   for (const auto& block : blocks_) {
     out.write(block.data.data(),
               static_cast<std::streamsize>(block.data.size()));
@@ -592,99 +520,69 @@ std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
   util::fault::point(util::fault::sites::kRFileRead);
   std::ifstream in(path, std::ios::binary);
   if (!in) return nullptr;
-  std::uint32_t magic = 0;
-  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) return nullptr;
-  if (magic != kMagic) return nullptr;
-  std::uint64_t header_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&header_len), sizeof(header_len))) {
-    return nullptr;
-  }
-  std::string header(header_len, '\0');
-  if (!in.read(header.data(), static_cast<std::streamsize>(header_len))) {
-    return nullptr;  // truncated
-  }
-  std::uint32_t stored_crc = 0;
-  if (!in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc))) {
-    return nullptr;
-  }
-  if (crc32(header.data(), header.size()) != stored_crc) {
-    return nullptr;  // corrupt header
-  }
-  PayloadReader reader{header.data(), header.size()};
-  std::uint64_t count = 0, stride = 0, restart = 0;
-  if (!reader.read_raw(&count, sizeof(count)) ||
-      !reader.read_raw(&stride, sizeof(stride)) ||
-      !reader.read_raw(&restart, sizeof(restart))) {
-    return nullptr;
-  }
-  if (stride == 0 || restart == 0) return nullptr;
-  std::uint64_t bloom_bits = 0, bloom_words = 0;
-  if (!reader.read_raw(&bloom_bits, sizeof(bloom_bits)) ||
-      !reader.read_raw(&bloom_words, sizeof(bloom_words))) {
-    return nullptr;
-  }
-  if (bloom_words > reader.remaining / sizeof(std::uint64_t)) return nullptr;
-  std::vector<std::uint64_t> bloom(bloom_words);
-  if (!reader.read_raw(bloom.data(), bloom_words * sizeof(std::uint64_t))) {
-    return nullptr;
-  }
-  Key first_key, last_key;
-  if (count > 0) {
-    if (!read_key(reader, first_key) || !read_key(reader, last_key)) {
-      return nullptr;
+  try {
+    const std::string header = wire::read_section(in, kMagic);
+    wire::Cursor c(header);
+    const std::uint64_t count = wire::get_u64(c);
+    const std::uint64_t stride = wire::get_u64(c);
+    const std::uint64_t restart = wire::get_u64(c);
+    if (stride == 0 || restart == 0) return nullptr;
+    const std::uint64_t bloom_bits = wire::get_u64(c);
+    const std::uint64_t bloom_words = wire::get_u64(c);
+    if (bloom_words > c.remaining() / sizeof(std::uint64_t)) return nullptr;
+    std::vector<std::uint64_t> bloom(bloom_words);
+    for (std::uint64_t& word : bloom) word = wire::get_u64(c);
+    Key first_key, last_key;
+    if (count > 0) {
+      first_key = wire::get_key(c);
+      last_key = wire::get_key(c);
+      if (last_key < first_key) return nullptr;
     }
-    if (last_key < first_key) return nullptr;
-  }
-  std::uint64_t nblocks = 0;
-  if (!reader.read_raw(&nblocks, sizeof(nblocks))) return nullptr;
-  if (nblocks != (count + stride - 1) / stride) return nullptr;
-  std::vector<EncodedBlock> blocks;
-  std::vector<Key> first_keys;
-  std::vector<std::uint32_t> crcs;
-  blocks.reserve(nblocks);
-  first_keys.reserve(nblocks);
-  crcs.reserve(nblocks);
-  std::uint64_t cells_seen = 0;
-  for (std::uint64_t b = 0; b < nblocks; ++b) {
-    Key fk;
-    if (!read_key(reader, fk)) return nullptr;
-    if (!first_keys.empty() && fk < first_keys.back()) return nullptr;
-    EncodedBlock block;
-    std::uint32_t data_len = 0, crc = 0;
-    char compressed = 0;
-    if (!reader.read_raw(&block.count, sizeof(block.count)) ||
-        !reader.read_raw(&block.raw_bytes, sizeof(block.raw_bytes)) ||
-        !reader.read_raw(&data_len, sizeof(data_len)) ||
-        !reader.read_raw(&compressed, 1) ||
-        !reader.read_raw(&crc, sizeof(crc))) {
-      return nullptr;
+    const std::uint64_t nblocks = wire::get_u64(c);
+    if (nblocks != (count + stride - 1) / stride) return nullptr;
+    std::vector<EncodedBlock> blocks;
+    std::vector<Key> first_keys;
+    std::vector<std::uint32_t> crcs;
+    blocks.reserve(nblocks);
+    first_keys.reserve(nblocks);
+    crcs.reserve(nblocks);
+    std::uint64_t cells_seen = 0;
+    for (std::uint64_t b = 0; b < nblocks; ++b) {
+      Key fk = wire::get_key(c);
+      if (!first_keys.empty() && fk < first_keys.back()) return nullptr;
+      EncodedBlock block;
+      block.count = wire::get_u32(c);
+      block.raw_bytes = wire::get_u32(c);
+      const std::uint32_t data_len = wire::get_u32(c);
+      block.compressed = wire::get_u8(c) != 0;
+      crcs.push_back(wire::get_u32(c));
+      if (block.count == 0 || block.count > stride) return nullptr;
+      block.data.resize(data_len);  // filled from the data section below
+      cells_seen += block.count;
+      blocks.push_back(std::move(block));
+      first_keys.push_back(std::move(fk));
     }
-    if (block.count == 0 || block.count > stride) return nullptr;
-    block.compressed = compressed != 0;
-    block.data.resize(data_len);  // filled from the data section below
-    cells_seen += block.count;
-    crcs.push_back(crc);
-    blocks.push_back(std::move(block));
-    first_keys.push_back(std::move(fk));
-  }
-  if (reader.remaining != 0) return nullptr;  // trailing header garbage
-  if (cells_seen != count) return nullptr;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    auto& block = blocks[b];
-    if (!in.read(block.data.data(),
-                 static_cast<std::streamsize>(block.data.size()))) {
-      return nullptr;  // truncated data section
+    if (!c.at_end()) return nullptr;  // trailing header garbage
+    if (cells_seen != count) return nullptr;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      auto& block = blocks[b];
+      if (!in.read(block.data.data(),
+                   static_cast<std::streamsize>(block.data.size()))) {
+        return nullptr;  // truncated data section
+      }
+      if (crc32(block.data.data(), block.data.size()) != crcs[b]) {
+        return nullptr;  // per-block corruption (bit flips, torn writes)
+      }
     }
-    if (crc32(block.data.data(), block.data.size()) != crcs[b]) {
-      return nullptr;  // per-block corruption (bit flips, torn writes)
-    }
+    if (in.peek() != std::ifstream::traits_type::eof()) return nullptr;
+    return std::shared_ptr<RFile>(new RFile(
+        std::move(blocks), std::move(first_keys), std::move(first_key),
+        std::move(last_key), count, std::move(bloom),
+        static_cast<std::size_t>(bloom_bits),
+        static_cast<std::size_t>(stride), static_cast<std::size_t>(restart)));
+  } catch (const wire::WireError&) {
+    return nullptr;  // foreign magic, bad length, CRC mismatch, truncation
   }
-  if (in.peek() != std::ifstream::traits_type::eof()) return nullptr;
-  return std::shared_ptr<RFile>(new RFile(
-      std::move(blocks), std::move(first_keys), std::move(first_key),
-      std::move(last_key), count, std::move(bloom),
-      static_cast<std::size_t>(bloom_bits), static_cast<std::size_t>(stride),
-      static_cast<std::size_t>(restart)));
 }
 
 }  // namespace graphulo::nosql

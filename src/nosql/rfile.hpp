@@ -129,8 +129,8 @@ class RFile : public std::enable_shared_from_this<RFile> {
   /// Loads a file written by write_to(); the packed blocks are adopted
   /// verbatim, so the file keeps the geometry it was written with.
   /// nullptr on failure or if the content fails validation (bad or
-  /// retired magic such as RFL2, truncation, CRC mismatch, unsorted
-  /// keys).
+  /// retired magic such as RFL2, a header length longer than the file,
+  /// truncation, CRC mismatch, unsorted keys).
   static std::shared_ptr<RFile> read_from(const std::string& path);
 
   /// Approximate in-memory footprint in bytes: packed bytes + metadata,

@@ -151,13 +151,15 @@ void Tablet::maybe_compact_locked(std::unique_lock<std::mutex>& lock) {
 }
 
 void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
+  // A failed task is not retried here, on this thread or by queueing it
+  // on the pool again, which would spin on a persistent fault: the
+  // write goes ahead and the next trigger retries the task.
+  const std::uint64_t failures_before = task_failures_;
   while (versions_.current()->file_count() >= config_->max_tablet_files ||
          frozen_.size() >= kMaxFrozenMemtables) {
+    if (task_failures_ != failures_before) return;
     if (const unsigned owned = queue_tasks_locked(kMinorTask | kMajorTask)) {
       // No pool took the work: this writer relieves the pressure itself.
-      // A failed task is not retried here, which would spin on a
-      // persistent fault: the write goes ahead and the next trigger
-      // retries it.
       ++relief_runs_;
       relief_total().inc();
       if (!run_tasks_locked(lock, owned)) {
@@ -221,6 +223,7 @@ bool Tablet::run_tasks_locked(std::unique_lock<std::mutex>& lock,
                       << "): flush failed, keeping memtable frozen: "
                       << e.what();
         ok = false;
+        ++task_failures_;
       }
       minor_inflight_ = false;
     } else {
@@ -233,6 +236,7 @@ bool Tablet::run_tasks_locked(std::unique_lock<std::mutex>& lock,
                       << extent_.end_row
                       << "): compaction failed, keeping inputs: " << e.what();
         ok = false;
+        ++task_failures_;
       }
       major_inflight_ = false;
       // Cascade: this install may have pushed the next level over budget.

@@ -263,8 +263,9 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   void maybe_compact_locked(std::unique_lock<std::mutex>& lock);
   /// Blocks the writer while files or frozen memtables exceed their
   /// ceilings, until the tasks bring them down. With nothing in flight
-  /// the writer runs the queued tasks itself; if one fails, the write
-  /// goes ahead over the ceiling rather than retry it.
+  /// the writer runs the queued tasks itself. If a task fails during
+  /// the wait, on this thread or on the pool's, the write goes ahead
+  /// over the ceiling rather than retry it.
   void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
   /// Moves the active memtable into frozen_ and starts a fresh one
   /// (no-op when empty). O(1).
@@ -276,7 +277,8 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   unsigned queue_tasks_locked(unsigned wanted);
   /// Runs the claimed tasks `owned` on this thread, minor first, and
   /// every task they queue that no pool takes. Each failure is contained
-  /// (warned, left for the next trigger); false when a task failed.
+  /// (warned, counted in task_failures_, left for the next trigger);
+  /// false when a task failed.
   bool run_tasks_locked(std::unique_lock<std::mutex>& lock, unsigned owned);
   /// Writes the oldest frozen memtable to an L0 file, built without the
   /// lock and installed under it. Throws, the memtable still frozen,
@@ -330,6 +332,9 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::uint64_t bg_completed_ = 0;
   std::size_t relief_runs_ = 0;
   std::size_t relief_failures_ = 0;
+  /// Maintenance tasks that failed, whichever thread ran them: a
+  /// back-pressured writer stops waiting once it sees this move.
+  std::uint64_t task_failures_ = 0;
 };
 
 }  // namespace graphulo::nosql

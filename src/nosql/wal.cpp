@@ -5,9 +5,11 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
+#include "nosql/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
@@ -52,63 +54,37 @@ const util::RetryPolicy& commit_retry_policy() {
   return kPolicy;
 }
 
-void put_string(std::string& buf, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buf.append(s);
-}
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool get_string(const std::string& buf, std::size_t& pos, std::string& s) {
-  if (pos + sizeof(std::uint32_t) > buf.size()) return false;
-  std::uint32_t len = 0;
-  std::memcpy(&len, buf.data() + pos, sizeof(len));
-  pos += sizeof(len);
-  if (pos + len > buf.size()) return false;
-  s.assign(buf, pos, len);
-  pos += len;
-  return true;
-}
-
-bool get_u64(const std::string& buf, std::size_t& pos, std::uint64_t& v) {
-  if (pos + sizeof(v) > buf.size()) return false;
-  std::memcpy(&v, buf.data() + pos, sizeof(v));
-  pos += sizeof(v);
-  return true;
-}
-
 /// Serializes a record body (everything after the magic + length).
+/// Mutations keep the WAL's own layout — a u64 update count and two
+/// flag bytes per update — not wire::put_mutation's.
 std::string encode_body(const WalRecord& record) {
   std::string body;
-  put_u64(body, record.seq);
-  body.push_back(static_cast<char>(record.kind));
-  put_string(body, record.table);
+  wire::put_u64(body, record.seq);
+  wire::put_u8(body, static_cast<std::uint8_t>(record.kind));
+  wire::put_string(body, record.table);
   switch (record.kind) {
     case WalRecord::Kind::kCreateTable:
     case WalRecord::Kind::kDeleteTable:
       break;
     case WalRecord::Kind::kCloneTable:
-      put_string(body, record.aux);
+      wire::put_string(body, record.aux);
       break;
     case WalRecord::Kind::kAddSplits:
-      put_u64(body, record.splits.size());
-      for (const auto& s : record.splits) put_string(body, s);
+      wire::put_u64(body, record.splits.size());
+      for (const auto& s : record.splits) wire::put_string(body, s);
       break;
     case WalRecord::Kind::kMutation: {
-      put_u64(body, static_cast<std::uint64_t>(record.assigned_ts));
-      put_string(body, record.mutation.row());
-      put_u64(body, record.mutation.updates().size());
+      wire::put_i64(body, record.assigned_ts);
+      wire::put_string(body, record.mutation.row());
+      wire::put_u64(body, record.mutation.updates().size());
       for (const auto& u : record.mutation.updates()) {
-        put_string(body, u.family);
-        put_string(body, u.qualifier);
-        put_string(body, u.visibility);
-        put_u64(body, static_cast<std::uint64_t>(u.ts));
-        body.push_back(u.has_ts ? 1 : 0);
-        body.push_back(u.deleted ? 1 : 0);
-        put_string(body, u.value);
+        wire::put_string(body, u.family);
+        wire::put_string(body, u.qualifier);
+        wire::put_string(body, u.visibility);
+        wire::put_i64(body, u.ts);
+        wire::put_u8(body, u.has_ts ? 1 : 0);
+        wire::put_u8(body, u.deleted ? 1 : 0);
+        wire::put_string(body, u.value);
       }
       break;
     }
@@ -119,78 +95,73 @@ std::string encode_body(const WalRecord& record) {
 /// Wraps an encoded body in the on-disk frame: magic, length, body.
 std::string frame_body(const std::string& body) {
   std::string framed;
-  framed.reserve(sizeof(kRecordMagic) + sizeof(std::uint32_t) + body.size());
-  framed.append(reinterpret_cast<const char*>(&kRecordMagic),
-                sizeof(kRecordMagic));
-  const auto len = static_cast<std::uint32_t>(body.size());
-  framed.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  framed.reserve(2 * sizeof(std::uint32_t) + body.size());
+  wire::put_u32(framed, kRecordMagic);
+  wire::put_u32(framed, static_cast<std::uint32_t>(body.size()));
   framed.append(body);
   return framed;
 }
 
-/// Parses a record body; false on any truncation/corruption.
+/// Parses a record body; false on any truncation/corruption. Each
+/// update is rebuilt field by field, so a replayed mutation equals the
+/// logged one.
 bool decode_body(const std::string& body, WalRecord& record) {
-  std::size_t pos = 0;
-  if (!get_u64(body, pos, record.seq)) return false;
-  if (pos >= body.size()) return false;
-  const auto kind = static_cast<std::uint8_t>(body[pos++]);
-  if (kind < 1 || kind > 5) return false;
-  record.kind = static_cast<WalRecord::Kind>(kind);
-  if (!get_string(body, pos, record.table)) return false;
-  switch (record.kind) {
-    case WalRecord::Kind::kCreateTable:
-    case WalRecord::Kind::kDeleteTable:
-      return pos == body.size();
-    case WalRecord::Kind::kCloneTable:
-      if (!get_string(body, pos, record.aux)) return false;
-      return pos == body.size();
-    case WalRecord::Kind::kAddSplits: {
-      std::uint64_t count = 0;
-      if (!get_u64(body, pos, count)) return false;
-      record.splits.clear();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::string s;
-        if (!get_string(body, pos, s)) return false;
-        record.splits.push_back(std::move(s));
+  try {
+    wire::Cursor c(body);
+    record.seq = wire::get_u64(c);
+    const std::uint8_t kind = wire::get_u8(c);
+    if (kind < 1 || kind > 5) return false;
+    record.kind = static_cast<WalRecord::Kind>(kind);
+    record.table = wire::get_string(c);
+    switch (record.kind) {
+      case WalRecord::Kind::kCreateTable:
+      case WalRecord::Kind::kDeleteTable:
+        break;
+      case WalRecord::Kind::kCloneTable:
+        record.aux = wire::get_string(c);
+        break;
+      case WalRecord::Kind::kAddSplits: {
+        const std::uint64_t count = wire::get_u64(c);
+        record.splits.clear();
+        for (std::uint64_t i = 0; i < count; ++i) {
+          record.splits.push_back(wire::get_string(c));
+        }
+        break;
       }
-      return pos == body.size();
+      case WalRecord::Kind::kMutation: {
+        record.assigned_ts = wire::get_i64(c);
+        Mutation mutation(wire::get_string(c));
+        const std::uint64_t count = wire::get_u64(c);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          ColumnUpdate u;
+          u.family = wire::get_string(c);
+          u.qualifier = wire::get_string(c);
+          u.visibility = wire::get_string(c);
+          u.ts = wire::get_i64(c);
+          u.has_ts = wire::get_u8(c) != 0;
+          u.deleted = wire::get_u8(c) != 0;
+          u.value = wire::get_string(c);
+          mutation.add_update(std::move(u));
+        }
+        record.mutation = std::move(mutation);
+        break;
+      }
     }
-    case WalRecord::Kind::kMutation:
-      break;
-  }
-
-  std::uint64_t ts = 0;
-  std::string row;
-  std::uint64_t update_count = 0;
-  if (!get_u64(body, pos, ts) || !get_string(body, pos, row) ||
-      !get_u64(body, pos, update_count)) {
+    return c.at_end();
+  } catch (const wire::WireError&) {
     return false;
   }
-  record.assigned_ts = static_cast<Timestamp>(ts);
-  Mutation mutation(row);
-  for (std::uint64_t i = 0; i < update_count; ++i) {
-    std::string family, qualifier, visibility, value;
-    std::uint64_t uts = 0;
-    if (!get_string(body, pos, family) || !get_string(body, pos, qualifier) ||
-        !get_string(body, pos, visibility) || !get_u64(body, pos, uts)) {
-      return false;
-    }
-    if (pos + 2 > body.size()) return false;
-    const bool has_ts = body[pos++] != 0;
-    const bool deleted = body[pos++] != 0;
-    if (!get_string(body, pos, value)) return false;
-    if (deleted) {
-      mutation.put_delete(std::move(family), std::move(qualifier));
-    } else if (has_ts) {
-      mutation.put(std::move(family), std::move(qualifier),
-                   std::move(visibility), static_cast<Timestamp>(uts),
-                   std::move(value));
-    } else {
-      mutation.put(std::move(family), std::move(qualifier), std::move(value));
-    }
-  }
-  record.mutation = std::move(mutation);
-  return pos == body.size();
+}
+
+/// Reads a record frame's head (magic | len) from `in`; false at the
+/// end of the log, on a torn head or on a foreign magic.
+bool read_frame_head(std::istream& in, std::uint32_t& len) {
+  char head[2 * sizeof(std::uint32_t)];
+  if (!in.read(head, sizeof(head))) return false;
+  wire::Cursor c(head, sizeof(head));
+  if (wire::get_u32(c) != kRecordMagic) return false;
+  len = wire::get_u32(c);
+  return true;
 }
 
 /// Scans an existing log for the sequence number after its last intact
@@ -199,15 +170,14 @@ std::uint64_t scan_next_seq(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return 1;
   std::uint64_t next = 1;
-  while (true) {
-    std::uint32_t magic = 0, len = 0;
-    if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) break;
-    if (magic != kRecordMagic) break;
-    if (!in.read(reinterpret_cast<char*>(&len), sizeof(len))) break;
-    if (len < sizeof(std::uint64_t)) break;
-    std::uint64_t seq = 0;
-    if (!in.read(reinterpret_cast<char*>(&seq), sizeof(seq))) break;
-    if (!in.seekg(static_cast<std::streamoff>(len - sizeof(seq)),
+  std::uint32_t len = 0;
+  char seq_bytes[sizeof(std::uint64_t)];
+  while (read_frame_head(in, len)) {
+    if (len < sizeof(seq_bytes)) break;
+    if (!in.read(seq_bytes, sizeof(seq_bytes))) break;
+    wire::Cursor c(seq_bytes, sizeof(seq_bytes));
+    const std::uint64_t seq = wire::get_u64(c);
+    if (!in.seekg(static_cast<std::streamoff>(len - sizeof(seq_bytes)),
                   std::ios::cur)) {
       break;
     }
@@ -522,14 +492,20 @@ std::size_t replay_wal(const std::string& path,
                        std::uint64_t min_seq) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
+  std::error_code ec;
+  std::uint64_t left = std::filesystem::file_size(path, ec);
+  if (ec) return 0;
   std::size_t delivered = 0;
-  while (true) {
-    std::uint32_t magic = 0, len = 0;
-    if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) break;
-    if (magic != kRecordMagic) break;  // corruption: stop cleanly
-    if (!in.read(reinterpret_cast<char*>(&len), sizeof(len))) break;
-    std::string body(len, '\0');
+  std::string body;
+  std::uint32_t len = 0;
+  while (read_frame_head(in, len)) {  // a foreign magic stops cleanly
+    left -= 2 * sizeof(std::uint32_t);
+    // A corrupt length reads as a torn tail before anything is
+    // allocated for it.
+    if (len > left) break;
+    body.resize(len);
     if (!in.read(body.data(), static_cast<std::streamsize>(len))) break;
+    left -= len;
     WalRecord record;
     if (!decode_body(body, record)) break;
     if (record.seq >= min_seq) {

@@ -6,6 +6,22 @@
 // tails — a record cut off mid-write by a crash — are detected and
 // ignored.
 //
+// Record format (little-endian, encoded through nosql::wire):
+//   magic u32 ("WAL2") | body_len u32 | body
+// Body:
+//   seq u64 | kind u8 | table | per kind:
+//     create / delete table   nothing
+//     clone table             target
+//     add splits              count u64 | count x split row
+//     mutation                assigned_ts i64 | row | count u64 |
+//                             count x (family | qualifier | visibility |
+//                             ts i64 | has_ts u8 | deleted u8 | value)
+// (strings are u32-length-prefixed). Replay rebuilds every update field
+// by field, so a recovered mutation equals the logged one: a delete
+// keeps its visibility and timestamp, a put its visibility. Records
+// carry no CRC: a frame that does not decode ends replay like a torn
+// tail, but a flipped bit inside a well-formed body is not detected.
+//
 // Appends go through one of three sync modes (WalOptions::sync_mode):
 //
 //   per_append  every append is written + fsync'd before it returns;

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -513,6 +515,45 @@ TEST_F(FaultTest, PersistentInlineFlushFaultNeverSpins) {
   EXPECT_EQ(cells_of(db, "t").size(), 60u);
 }
 
+// The same persistent flush fault on a table with a scheduler: the
+// pool runs every flush and fails it. A back-pressured writer that sees
+// a task fail goes ahead over the ceiling instead of queueing the task
+// again, so every write returns. The writes run on their own thread so
+// a writer that spins fails the test instead of hanging it.
+TEST_F(FaultTest, PersistentPoolFlushFaultNeverSpins) {
+  Instance db;
+  db.set_retry_policy(test_retry());
+  db.attach_compaction_scheduler(
+      std::make_shared<nosql::CompactionScheduler>(1));
+  TableConfig cfg;
+  cfg.flush_entries = 4;
+  db.create_table("t", std::move(cfg));
+  fault::FaultSpec always;
+  always.probability = 1.0;
+  fault::arm(sites::kMemtableFlush, always);
+  auto writes = std::async(std::launch::async, [&db] {
+    for (int i = 0; i < 40; ++i) {
+      Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 3));
+      m.put("f", "q", "v");
+      db.apply("t", m);
+    }
+  });
+  const bool returned = writes.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  const auto flush_fires = fault::stats(sites::kMemtableFlush).fires;
+  fault::reset();  // frees a spinning writer, so the join below ends
+  writes.get();
+  EXPECT_TRUE(returned) << "writes spun on the failing pool flush";
+  EXPECT_GE(flush_fires, 1u);
+  EXPECT_EQ(cells_of(db, "t").size(), 40u);
+
+  db.flush("t");
+  const auto tablet = db.tablets_for_range("t", nosql::Range::all())[0].first;
+  EXPECT_EQ(tablet->stats().frozen_memtables, 0u);
+  EXPECT_EQ(tablet->stats().memtable_entries, 0u);
+  EXPECT_EQ(cells_of(db, "t").size(), 40u);
+}
+
 // ---------------------------------------------------------------------------
 // TableMult partition retry + deadline
 // ---------------------------------------------------------------------------
@@ -734,21 +775,31 @@ TEST_F(FaultTest, CorruptCheckpointFallsBackToFullWalReplay) {
     full_wal = slurp(wal_path);
     write_checkpoint(db, ckpt_path);
   }
-  // Corrupt the checkpoint payload (CRC must catch it) and restore the
-  // full WAL so fallback recovery has everything.
-  auto ckpt = slurp(ckpt_path);
-  ASSERT_GT(ckpt.size(), 40u);
-  ckpt[ckpt.size() / 2] ^= 0x5a;
-  spit(ckpt_path, ckpt);
-  spit(wal_path, full_wal);
+  const auto pristine = slurp(ckpt_path);
+  ASSERT_GT(pristine.size(), 40u);
+  // Two corruptions: a flipped payload byte (the CRC must catch it),
+  // and a flipped top byte of the u64 payload length (byte 11), which
+  // must read as corruption, not as a request for exabytes.
+  const std::pair<std::size_t, char> damages[] = {
+      {pristine.size() / 2, static_cast<char>(0x5a)},
+      {11, static_cast<char>(0x10)}};
+  for (const auto& [offset, mask] : damages) {
+    SCOPED_TRACE("corrupt byte " + std::to_string(offset));
+    // Corrupt the checkpoint and restore the full WAL so fallback
+    // recovery has everything.
+    auto ckpt = pristine;
+    ckpt[offset] ^= mask;
+    spit(ckpt_path, ckpt);
+    spit(wal_path, full_wal);
 
-  Instance rec;
-  const auto r = recover_instance(rec, ckpt_path, wal_path, config_for);
-  EXPECT_FALSE(r.checkpoint_loaded);
-  EXPECT_EQ(r.records_replayed, 11u);  // create + 10 mutations
-  const auto sums = value_map(rec, "c");
-  ASSERT_EQ(sums.size(), 1u);
-  EXPECT_EQ(sums.at("counter|f|q"), 10.0);
+    Instance rec;
+    const auto r = recover_instance(rec, ckpt_path, wal_path, config_for);
+    EXPECT_FALSE(r.checkpoint_loaded);
+    EXPECT_EQ(r.records_replayed, 11u);  // create + 10 mutations
+    const auto sums = value_map(rec, "c");
+    ASSERT_EQ(sums.size(), 1u);
+    EXPECT_EQ(sums.at("counter|f|q"), 10.0);
+  }
   std::remove(wal_path.c_str());
   std::remove(ckpt_path.c_str());
 }

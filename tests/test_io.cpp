@@ -1,8 +1,11 @@
-// Matrix Market / TSV edge-list I/O, the D4M degree filter, and the
-// RFile on-disk formats (RFL2 legacy + RFL3 packed blocks).
+// Matrix Market / TSV edge-list I/O, the D4M degree filter, the RFile
+// on-disk formats (RFL2 legacy + RFL3 packed blocks), and the pinned
+// bytes of every stored format (WAL, MANIFEST record, RFL3 RFile,
+// checkpoint main file).
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -10,8 +13,9 @@
 
 #include "assoc/schemas.hpp"
 #include "la/la.hpp"
-#include "nosql/rfile.hpp"
+#include "nosql/nosql.hpp"
 #include "test_helpers.hpp"
+#include "util/checksum.hpp"
 #include "util/strings.hpp"
 
 namespace graphulo::la {
@@ -240,9 +244,12 @@ TEST(RFileFormat, Rfl3RejectsBitFlips) {
   }
   ASSERT_GT(bytes.size(), 64u);
   // Offsets spanning magic, header length, header body, header CRC and
-  // the packed block data section.
+  // the packed block data section. Byte 11 is the top byte of the u64
+  // header length: the flipped length must read as corruption before
+  // anything is allocated for it.
   const std::size_t offsets[] = {1,
                                  6,
+                                 11,
                                  bytes.size() / 4,
                                  bytes.size() / 2,
                                  2 * bytes.size() / 3,
@@ -278,6 +285,131 @@ TEST(RFileFormat, Rfl3RejectsBitFlips) {
   }
   EXPECT_NE(RFile::read_from(path), nullptr);
   std::remove(path.c_str());
+}
+
+// ---- format pins ----------------------------------------------------------
+// Each test builds one fixed artifact and checks its size and CRC32
+// against constants taken from the implementation that first wrote the
+// format, so any change to a stored byte fails here.
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+struct Pin {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+Pin pin_of(const std::string& bytes) {
+  return {bytes.size(), util::crc32(bytes.data(), bytes.size())};
+}
+
+/// A delete carrying a visibility and an explicit timestamp, next to a
+/// visible put without one: the update fields the sugar of Mutation
+/// cannot express.
+Mutation mixed_mutation() {
+  ColumnUpdate del;
+  del.family = "f";
+  del.qualifier = "q";
+  del.visibility = "A";
+  del.ts = 5;
+  del.has_ts = true;
+  del.deleted = true;
+  ColumnUpdate put;
+  put.family = "f";
+  put.qualifier = "secret";
+  put.visibility = "B";
+  put.value = "s";
+  Mutation m("r");
+  m.add_update(std::move(del)).add_update(std::move(put));
+  return m;
+}
+
+TEST(FormatPins, WalWithEveryRecordKind) {
+  const auto path = temp_path("pin.wal");
+  std::remove(path.c_str());
+  {
+    WriteAheadLog wal(path);
+    wal.log_create_table("t");
+    wal.log_add_splits("t", {"g", "p"});
+    Mutation simple("alpha");
+    simple.put("f", "q", "v1");
+    wal.log_mutation("t", simple, 7);
+    Mutation explicit_fields("beta");
+    explicit_fields.put("fam", "qual", "vis", 777, "v2");
+    wal.log_mutation("t", explicit_fields, 8);
+    wal.log_mutation("t", mixed_mutation(), 9);
+    wal.log_clone_table("t", "t2");
+    wal.log_delete_table("t2");
+    wal.sync();
+  }
+  const Pin pin = pin_of(slurp(path));
+  EXPECT_EQ(pin.size, 381u);
+  EXPECT_EQ(pin.crc, 3823159021u);
+  std::remove(path.c_str());
+}
+
+TEST(FormatPins, VersionEditRecord) {
+  VersionEdit edit;
+  edit.table = "t";
+  edit.has_extent_start = true;
+  edit.extent_start = "m";
+  FileMeta meta;
+  meta.file_id = 42;
+  meta.level = 2;
+  meta.seq = 9;
+  meta.cells = 300;
+  meta.bytes = 4096;
+  meta.first_key = Key{"a", "f", "q", "vis", 11, false};
+  meta.last_key = Key{"z", "f", "q", "", 3, true};
+  edit.added.push_back(meta);
+  edit.removed = {7, 8};
+  const Pin pin = pin_of(encode_version_edit(edit));
+  EXPECT_EQ(pin.size, 150u);
+  EXPECT_EQ(pin.crc, 553754911u);
+}
+
+TEST(FormatPins, Rfl3RFileWithLzBlocks) {
+  RFileOptions opts;
+  opts.index_stride = 32;
+  opts.compressor = RFileCompressor::kLz;
+  const auto rf = RFile::from_sorted(graph_cells(50, 6), opts);
+  const auto path = temp_path("pin.rf");
+  ASSERT_TRUE(rf->write_to(path));
+  const Pin pin = pin_of(slurp(path));
+  EXPECT_EQ(pin.size, 3179u);
+  EXPECT_EQ(pin.crc, 785358198u);
+  std::remove(path.c_str());
+}
+
+TEST(FormatPins, CheckpointMainFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = ::testing::TempDir() + "/graphulo_pin_checkpoint";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string ckpt = (dir / "db.ckpt").string();
+  {
+    Instance db(1);
+    db.attach_wal(std::make_shared<WriteAheadLog>((dir / "db.wal").string()));
+    db.create_table("t");
+    db.add_splits("t", {"m"});
+    Mutation a("alpha");
+    a.put("f", "q", "v1");
+    db.apply("t", a);
+    Mutation z("zulu");
+    z.put("fam", "qual", "vis", 777, "v2");
+    db.apply("t", z);
+    db.apply("t", mixed_mutation());
+    db.create_table("u");
+    write_checkpoint(db, ckpt);
+  }
+  const Pin pin = pin_of(slurp(ckpt));
+  EXPECT_EQ(pin.size, 250u);
+  EXPECT_EQ(pin.crc, 2609956591u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,55 @@ TEST(Wal, MutationWithExplicitFieldsSurvives) {
   EXPECT_EQ(cells[0].key.visibility, "vis&label");
   EXPECT_EQ(cells[0].key.ts, 12345);
   EXPECT_EQ(cells[0].value, "payload");
+  std::remove(path.c_str());
+}
+
+// A replayed mutation equals the logged one field by field: a delete
+// carrying a visibility and an explicit timestamp leaves the cell of
+// another visibility standing, and a put's visibility survives, so a
+// scan without that label still cannot see it.
+TEST(Wal, ReplayKeepsEveryUpdateField) {
+  const auto path = temp_wal_path("update_fields");
+  std::remove(path.c_str());
+  Instance live;
+  live.attach_wal(std::make_shared<WriteAheadLog>(path));
+  live.create_table("t");
+  Mutation put("r");
+  put.put("f", "q", "", 1, "v");
+  live.apply("t", put);
+  ColumnUpdate del;
+  del.family = "f";
+  del.qualifier = "q";
+  del.visibility = "A";
+  del.ts = 5;
+  del.has_ts = true;
+  del.deleted = true;
+  ColumnUpdate secret;
+  secret.family = "f";
+  secret.qualifier = "secret";
+  secret.visibility = "B";
+  secret.value = "s";
+  Mutation m("r");
+  m.add_update(std::move(del)).add_update(std::move(secret));
+  live.apply("t", m);
+  live.sync_wal();
+
+  Instance recovered;
+  recover_from_wal(recovered, path);
+  const auto scan = [](Instance& db, const std::set<std::string>& auths) {
+    Scanner scanner(db, "t");
+    scanner.set_authorizations(auths);
+    std::vector<std::string> shown;
+    for (const auto& c : scanner.read_all()) {
+      shown.push_back(c.key.to_string() + " = " + c.value);
+    }
+    return shown;
+  };
+  for (const std::set<std::string>& auths :
+       {std::set<std::string>{}, std::set<std::string>{"A", "B"}}) {
+    EXPECT_EQ(scan(recovered, auths), scan(live, auths))
+        << auths.size() << " authorizations";
+  }
   std::remove(path.c_str());
 }
 
