@@ -154,8 +154,7 @@ std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
   return payload;
 }
 
-CheckpointImage decode_checkpoint(const std::string& payload) {
-  wire::Cursor c(payload);
+CheckpointImage decode_checkpoint(wire::Cursor c) {
   CheckpointImage image;
   image.clock = wire::get_i64(c);
   image.covers_seq = wire::get_u64(c);
@@ -192,10 +191,11 @@ bool write_file(const std::string& path, const std::string& payload) {
 /// bad magic, a length past the end of the file, truncation, CRC
 /// mismatch or a malformed payload.
 bool load_file(const std::string& path, CheckpointImage& image) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return false;
   try {
-    image = decode_checkpoint(wire::read_section(in, kCheckpointMagic));
+    wire::Cursor file(bytes);
+    image = decode_checkpoint(wire::read_section(file, kCheckpointMagic));
     return true;
   } catch (const wire::WireError&) {
     return false;

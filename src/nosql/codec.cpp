@@ -1,10 +1,8 @@
 #include "nosql/codec.hpp"
 
-#include <bit>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <istream>
+#include <fstream>
 #include <ostream>
 
 #include "util/checksum.hpp"
@@ -76,14 +74,10 @@ std::uint64_t get_le(Cursor& c, std::size_t bytes) {
                     " bytes, have " + std::to_string(c.remaining()) + ")");
   }
   std::uint64_t v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, c.data + c.pos, bytes);
-  } else {
-    for (std::size_t i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(c.data[c.pos + i]))
-           << (8 * i);
-    }
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(
+             static_cast<unsigned char>(c.data[c.pos + i]))
+         << (8 * i);
   }
   c.pos += bytes;
   return v;
@@ -108,16 +102,17 @@ std::uint32_t get_u32(Cursor& c) {
 std::uint64_t get_u64(Cursor& c) { return get_le(c, 8); }
 std::int64_t get_i64(Cursor& c) { return static_cast<std::int64_t>(get_le(c, 8)); }
 
-std::string get_string(Cursor& c) {
-  const std::uint32_t len = get_u32(c);
-  if (c.remaining() < len) {
-    throw WireError("wire: truncated string (need " + std::to_string(len) +
+std::string get_bytes(Cursor& c, std::size_t n) {
+  if (c.remaining() < n) {
+    throw WireError("wire: truncated bytes (need " + std::to_string(n) +
                     " bytes, have " + std::to_string(c.remaining()) + ")");
   }
-  std::string s(c.data + c.pos, len);
-  c.pos += len;
+  std::string s(c.data + c.pos, n);
+  c.pos += n;
   return s;
 }
+
+std::string get_string(Cursor& c) { return get_bytes(c, get_u32(c)); }
 
 Key get_key(Cursor& c) {
   Key k;
@@ -205,40 +200,31 @@ void write_section(std::ostream& out, std::uint32_t magic,
   out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
 }
 
-std::string read_section(std::istream& in, std::uint32_t magic) {
-  char head[12];
-  if (!in.read(head, sizeof(head))) {
-    throw WireError("section: truncated frame head");
-  }
-  Cursor c(head, sizeof(head));
+Cursor read_section(Cursor& c, std::uint32_t magic) {
   if (get_u32(c) != magic) throw WireError("section: foreign magic");
+  // The bytes left bound the length before anything is read past it: a
+  // flipped high bit reads as corruption, not as a request for exabytes.
   const std::uint64_t len = get_u64(c);
-  // What the stream still holds bounds the length before the body is
-  // allocated: a flipped high bit must read as corruption, not as a
-  // request for exabytes.
-  const std::istream::pos_type body_at = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(body_at);
-  if (body_at < 0 || end < body_at || !in) {
-    throw WireError("section: stream is not seekable");
-  }
-  const auto held = static_cast<std::uint64_t>(end - body_at);
-  if (held < sizeof(std::uint32_t) || len > held - sizeof(std::uint32_t)) {
+  if (len > c.remaining()) {
     throw WireError("section: length " + std::to_string(len) +
-                    " exceeds the " + std::to_string(held) + " bytes left");
+                    " exceeds the " + std::to_string(c.remaining()) +
+                    " bytes left");
   }
-  std::string body(static_cast<std::size_t>(len), '\0');
-  char crc[4];
-  if (!in.read(body.data(), static_cast<std::streamsize>(len)) ||
-      !in.read(crc, sizeof(crc))) {
-    throw WireError("section: truncated body");
-  }
-  Cursor t(crc, sizeof(crc));
-  if (get_u32(t) != util::crc32(body.data(), body.size())) {
+  const Cursor body(c.data + c.pos, static_cast<std::size_t>(len));
+  c.pos += body.size;
+  if (get_u32(c) != util::crc32(body.data, body.size)) {
     throw WireError("section: CRC mismatch");
   }
   return body;
+}
+
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return false;
+  out.resize(static_cast<std::size_t>(size));
+  return static_cast<bool>(in.read(out.data(), size));
 }
 
 }  // namespace wire

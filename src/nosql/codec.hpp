@@ -54,9 +54,12 @@ std::optional<std::uint64_t> decode_u64_be(const std::string& bytes);
 // share one frame, the section (write_section / read_section):
 //   magic u32 | len u64 | body | crc32(body) u32
 // Decoding is fully bounds-checked: malformed or truncated input throws
-// WireError, never reads out of bounds. Each decoder catches it at its
-// own boundary — the RPC layer maps it to a bad-request rejection, the
-// stored formats to a rejected file or the end of a torn tail.
+// WireError, never reads out of bounds. The stored formats are read
+// whole (read_file) and decoded from memory, so a corrupt length is
+// checked against the bytes the file holds. Each decoder catches
+// WireError at its own boundary — the RPC layer maps it to a
+// bad-request rejection, the stored formats to a rejected file or the
+// end of a torn tail.
 
 namespace wire {
 
@@ -86,21 +89,17 @@ struct Cursor {
 };
 
 // Writers are inline: the WAL encodes every mutation through them. Each
-// integer is one append; on a little-endian host its bytes are the
-// value's own.
+// integer is one append of the value's own bytes, which are its
+// little-endian encoding on every host this builds for (block_codec's
+// packed blocks copy host-order integers too).
+static_assert(std::endian::native == std::endian::little,
+              "stored formats and the wire are little-endian");
 namespace detail {
 template <typename T>
 inline void put_le(std::string& out, T v) {
   static_assert(std::is_unsigned_v<T>);
   char bytes[sizeof(T)];
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(bytes, &v, sizeof(T));
-  } else {
-    for (char& b : bytes) {
-      b = static_cast<char>(v & 0xff);
-      v = static_cast<T>(v >> 8);
-    }
-  }
+  std::memcpy(bytes, &v, sizeof(T));
   out.append(bytes, sizeof(T));
 }
 }  // namespace detail
@@ -126,6 +125,8 @@ std::uint16_t get_u16(Cursor& c);
 std::uint32_t get_u32(Cursor& c);
 std::uint64_t get_u64(Cursor& c);
 std::int64_t get_i64(Cursor& c);
+/// The next `n` raw bytes (no length prefix).
+std::string get_bytes(Cursor& c, std::size_t n);
 std::string get_string(Cursor& c);
 
 /// Cell-model codecs: Key (row, family, qualifier, visibility, ts,
@@ -156,11 +157,16 @@ Range get_range(Cursor& c);
 void write_section(std::ostream& out, std::uint32_t magic,
                    const std::string& body);
 
-/// Reads one section frame from `in` and returns its body, verified
-/// against its CRC; `in` is left just past the frame. Throws WireError
-/// on a foreign magic, a length longer than the stream holds (checked
-/// before anything is allocated), truncation or a CRC mismatch.
-std::string read_section(std::istream& in, std::uint32_t magic);
+/// Reads one section frame at `c` and returns a cursor over its body,
+/// verified against its CRC; `c` is left just past the frame. Throws
+/// WireError on a foreign magic, a length longer than `c` holds,
+/// truncation or a CRC mismatch.
+Cursor read_section(Cursor& c, std::uint32_t magic);
+
+/// Reads the file at `path` whole into `out`; false if it cannot be
+/// opened or read. The stored-format decoders walk the bytes with a
+/// Cursor, so every length is checked against what the file holds.
+bool read_file(const std::string& path, std::string& out);
 
 }  // namespace wire
 

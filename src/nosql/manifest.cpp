@@ -118,10 +118,8 @@ void ManifestWriter::sync() {
 
 ManifestReplay replay_manifest(const std::string& path) {
   ManifestReplay result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return result;
   wire::Cursor c(bytes);
   try {
     while (c.remaining() >= kRecordHead) {

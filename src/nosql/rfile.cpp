@@ -518,11 +518,11 @@ bool RFile::write_to(const std::string& path) const {
 
 std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
   util::fault::point(util::fault::sites::kRFileRead);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return nullptr;
   try {
-    const std::string header = wire::read_section(in, kMagic);
-    wire::Cursor c(header);
+    wire::Cursor file(bytes);
+    wire::Cursor c = wire::read_section(file, kMagic);
     const std::uint64_t count = wire::get_u64(c);
     const std::uint64_t stride = wire::get_u64(c);
     const std::uint64_t restart = wire::get_u64(c);
@@ -542,9 +542,10 @@ std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
     if (nblocks != (count + stride - 1) / stride) return nullptr;
     std::vector<EncodedBlock> blocks;
     std::vector<Key> first_keys;
-    std::vector<std::uint32_t> crcs;
+    std::vector<std::uint32_t> data_lens, crcs;
     blocks.reserve(nblocks);
     first_keys.reserve(nblocks);
+    data_lens.reserve(nblocks);
     crcs.reserve(nblocks);
     std::uint64_t cells_seen = 0;
     for (std::uint64_t b = 0; b < nblocks; ++b) {
@@ -553,11 +554,10 @@ std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
       EncodedBlock block;
       block.count = wire::get_u32(c);
       block.raw_bytes = wire::get_u32(c);
-      const std::uint32_t data_len = wire::get_u32(c);
+      data_lens.push_back(wire::get_u32(c));
       block.compressed = wire::get_u8(c) != 0;
       crcs.push_back(wire::get_u32(c));
       if (block.count == 0 || block.count > stride) return nullptr;
-      block.data.resize(data_len);  // filled from the data section below
       cells_seen += block.count;
       blocks.push_back(std::move(block));
       first_keys.push_back(std::move(fk));
@@ -566,15 +566,12 @@ std::shared_ptr<RFile> RFile::read_from(const std::string& path) {
     if (cells_seen != count) return nullptr;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
       auto& block = blocks[b];
-      if (!in.read(block.data.data(),
-                   static_cast<std::streamsize>(block.data.size()))) {
-        return nullptr;  // truncated data section
-      }
+      block.data = wire::get_bytes(file, data_lens[b]);
       if (crc32(block.data.data(), block.data.size()) != crcs[b]) {
         return nullptr;  // per-block corruption (bit flips, torn writes)
       }
     }
-    if (in.peek() != std::ifstream::traits_type::eof()) return nullptr;
+    if (!file.at_end()) return nullptr;  // trailing bytes
     return std::shared_ptr<RFile>(new RFile(
         std::move(blocks), std::move(first_keys), std::move(first_key),
         std::move(last_key), count, std::move(bloom),

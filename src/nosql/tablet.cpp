@@ -62,6 +62,15 @@ obs::Counter& relief_failure_total() {
   return c;
 }
 
+obs::Counter& overrun_total() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "tablet.overrun.total",
+      "Back-pressured writes that went ahead over the file or frozen-"
+      "memtable ceiling: a flush or compaction failed during the wait, on "
+      "any thread, or none could bring the tablet under it");
+  return c;
+}
+
 /// Ceiling on frozen memtables per tablet before writers block: enough
 /// to ride out a slow flush, small enough to bound memory.
 constexpr std::size_t kMaxFrozenMemtables = 4;
@@ -157,20 +166,27 @@ void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
   const std::uint64_t failures_before = task_failures_;
   while (versions_.current()->file_count() >= config_->max_tablet_files ||
          frozen_.size() >= kMaxFrozenMemtables) {
-    if (task_failures_ != failures_before) return;
-    if (const unsigned owned = queue_tasks_locked(kMinorTask | kMajorTask)) {
-      // No pool took the work: this writer relieves the pressure itself.
-      ++relief_runs_;
-      relief_total().inc();
-      if (!run_tasks_locked(lock, owned)) {
-        ++relief_failures_;
-        relief_failure_total().inc();
-        return;
+    if (task_failures_ == failures_before) {
+      if (const unsigned owned = queue_tasks_locked(kMinorTask | kMajorTask)) {
+        // No pool took the work: this writer relieves the pressure itself.
+        ++relief_runs_;
+        relief_total().inc();
+        if (!run_tasks_locked(lock, owned)) {
+          ++relief_failures_;
+          relief_failure_total().inc();
+        }
+        continue;
       }
-      continue;
+      if (minor_inflight_ || major_inflight_) {
+        state_cv_.wait_for(lock, std::chrono::microseconds(200));
+        continue;
+      }
     }
-    if (!minor_inflight_ && !major_inflight_) return;  // nothing can help
-    state_cv_.wait_for(lock, std::chrono::microseconds(200));
+    // A task failed during the wait, or nothing can bring the tablet
+    // under the ceiling: the write goes ahead over it.
+    ++overruns_;
+    overrun_total().inc();
+    return;
   }
 }
 
@@ -492,6 +508,7 @@ TabletStats Tablet::stats() const {
   s.compactions_completed = bg_completed_;
   s.relief_runs = relief_runs_;
   s.relief_failures = relief_failures_;
+  s.overruns = overruns_;
   s.compactions_in_flight =
       (minor_inflight_ ? 1u : 0u) + (major_inflight_ ? 1u : 0u);
   if (cache_) {

@@ -5,8 +5,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "nosql/codec.hpp"
@@ -105,9 +103,8 @@ std::string frame_body(const std::string& body) {
 /// Parses a record body; false on any truncation/corruption. Each
 /// update is rebuilt field by field, so a replayed mutation equals the
 /// logged one.
-bool decode_body(const std::string& body, WalRecord& record) {
+bool decode_body(wire::Cursor c, WalRecord& record) {
   try {
-    wire::Cursor c(body);
     record.seq = wire::get_u64(c);
     const std::uint8_t kind = wire::get_u8(c);
     if (kind < 1 || kind > 5) return false;
@@ -153,38 +150,31 @@ bool decode_body(const std::string& body, WalRecord& record) {
   }
 }
 
-/// Reads a record frame's head (magic | len) from `in`; false at the
-/// end of the log, on a torn head or on a foreign magic.
-bool read_frame_head(std::istream& in, std::uint32_t& len) {
-  char head[2 * sizeof(std::uint32_t)];
-  if (!in.read(head, sizeof(head))) return false;
-  wire::Cursor c(head, sizeof(head));
-  if (wire::get_u32(c) != kRecordMagic) return false;
-  len = wire::get_u32(c);
+/// Steps `log` over its next record frame (magic | len | body) and
+/// points `body` at the body; false at the end of the log, on a torn
+/// frame or on a foreign magic. A corrupt length reads as a torn tail:
+/// it is checked against the bytes left before anything is read.
+bool next_frame(wire::Cursor& log, wire::Cursor& body) {
+  if (log.remaining() < 2 * sizeof(std::uint32_t)) return false;
+  if (wire::get_u32(log) != kRecordMagic) return false;
+  const std::uint32_t len = wire::get_u32(log);
+  if (len > log.remaining()) return false;
+  body = wire::Cursor(log.data + log.pos, len);
+  log.pos += len;
   return true;
 }
 
 /// Scans an existing log for the sequence number after its last intact
 /// record (1 for a missing/empty/garbage file).
 std::uint64_t scan_next_seq(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 1;
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return 1;
   std::uint64_t next = 1;
-  std::uint32_t len = 0;
-  char seq_bytes[sizeof(std::uint64_t)];
-  while (read_frame_head(in, len)) {
-    if (len < sizeof(seq_bytes)) break;
-    if (!in.read(seq_bytes, sizeof(seq_bytes))) break;
-    wire::Cursor c(seq_bytes, sizeof(seq_bytes));
-    const std::uint64_t seq = wire::get_u64(c);
-    if (!in.seekg(static_cast<std::streamoff>(len - sizeof(seq_bytes)),
-                  std::ios::cur)) {
-      break;
-    }
-    // A torn record after this point invalidates this seq too, but the
-    // successor estimate only has to be PAST every replayable record,
-    // which "last header seq + 1" always is.
-    next = seq + 1;
+  wire::Cursor log(bytes), body;
+  // The successor estimate only has to be PAST every replayable record,
+  // which the last intact record's seq + 1 always is.
+  while (next_frame(log, body) && body.remaining() >= sizeof(std::uint64_t)) {
+    next = wire::get_u64(body) + 1;
   }
   return next;
 }
@@ -490,22 +480,11 @@ std::uint64_t WriteAheadLog::durable_seq() const {
 std::size_t replay_wal(const std::string& path,
                        const std::function<void(const WalRecord&)>& apply,
                        std::uint64_t min_seq) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::error_code ec;
-  std::uint64_t left = std::filesystem::file_size(path, ec);
-  if (ec) return 0;
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return 0;
   std::size_t delivered = 0;
-  std::string body;
-  std::uint32_t len = 0;
-  while (read_frame_head(in, len)) {  // a foreign magic stops cleanly
-    left -= 2 * sizeof(std::uint32_t);
-    // A corrupt length reads as a torn tail before anything is
-    // allocated for it.
-    if (len > left) break;
-    body.resize(len);
-    if (!in.read(body.data(), static_cast<std::streamsize>(len))) break;
-    left -= len;
+  wire::Cursor log(bytes), body;
+  while (next_frame(log, body)) {  // a foreign magic stops cleanly
     WalRecord record;
     if (!decode_body(body, record)) break;
     if (record.seq >= min_seq) {

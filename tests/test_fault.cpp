@@ -517,9 +517,10 @@ TEST_F(FaultTest, PersistentInlineFlushFaultNeverSpins) {
 
 // The same persistent flush fault on a table with a scheduler: the
 // pool runs every flush and fails it. A back-pressured writer that sees
-// a task fail goes ahead over the ceiling instead of queueing the task
-// again, so every write returns. The writes run on their own thread so
-// a writer that spins fails the test instead of hanging it.
+// a task fail goes ahead over the ceiling, a counted overrun, instead
+// of queueing the task again, so every write returns. The writes run on
+// their own thread so a writer that spins fails the test instead of
+// hanging it.
 TEST_F(FaultTest, PersistentPoolFlushFaultNeverSpins) {
   Instance db;
   db.set_retry_policy(test_retry());
@@ -549,6 +550,7 @@ TEST_F(FaultTest, PersistentPoolFlushFaultNeverSpins) {
 
   db.flush("t");
   const auto tablet = db.tablets_for_range("t", nosql::Range::all())[0].first;
+  EXPECT_GE(tablet->stats().overruns, 1u);  // each go-ahead is counted
   EXPECT_EQ(tablet->stats().frozen_memtables, 0u);
   EXPECT_EQ(tablet->stats().memtable_entries, 0u);
   EXPECT_EQ(cells_of(db, "t").size(), 40u);
