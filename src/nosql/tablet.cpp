@@ -184,7 +184,6 @@ void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
     }
     // A task failed during the wait, or nothing can bring the tablet
     // under the ceiling: the write goes ahead over it.
-    ++overruns_;
     overrun_total().inc();
     return;
   }
@@ -508,7 +507,6 @@ TabletStats Tablet::stats() const {
   s.compactions_completed = bg_completed_;
   s.relief_runs = relief_runs_;
   s.relief_failures = relief_failures_;
-  s.overruns = overruns_;
   s.compactions_in_flight =
       (minor_inflight_ ? 1u : 0u) + (major_inflight_ ? 1u : 0u);
   if (cache_) {

@@ -130,10 +130,6 @@ struct TabletStats {
   /// ceiling).
   std::size_t relief_runs = 0;
   std::size_t relief_failures = 0;
-  /// Back-pressured writes that went ahead over the file or frozen-
-  /// memtable ceiling: a flush or compaction failed during the wait, on
-  /// this thread or the pool's, or none could bring the tablet under it.
-  std::size_t overruns = 0;
 };
 
 class Tablet : public std::enable_shared_from_this<Tablet> {
@@ -269,7 +265,8 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// ceilings, until the tasks bring them down. With nothing in flight
   /// the writer runs the queued tasks itself. If a task fails during
   /// the wait, on this thread or on the pool's, the write goes ahead
-  /// over the ceiling rather than retry it (counted in overruns_).
+  /// over the ceiling rather than retry it (tablet.overrun.total counts
+  /// every write that goes ahead over a ceiling).
   void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
   /// Moves the active memtable into frozen_ and starts a fresh one
   /// (no-op when empty). O(1).
@@ -336,7 +333,6 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::uint64_t bg_completed_ = 0;
   std::size_t relief_runs_ = 0;
   std::size_t relief_failures_ = 0;
-  std::size_t overruns_ = 0;
   /// Maintenance tasks that failed, whichever thread ran them: a
   /// back-pressured writer stops waiting once it sees this move.
   std::uint64_t task_failures_ = 0;
