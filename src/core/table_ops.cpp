@@ -16,6 +16,9 @@ using nosql::encode_double;
 
 void table_apply(nosql::Instance& db, const std::string& table,
                  const std::function<double(double)>& fn) {
+  // One compaction: the transform, then a filter that prunes the
+  // transformed values equal to 0 (semantically sparse zeros) and keeps
+  // non-numeric values.
   db.compact(
       table,
       {{50, "one-shot-apply", nosql::kMajcScope, [fn](nosql::IterPtr src) {
@@ -25,10 +28,15 @@ void table_apply(nosql::Instance& db, const std::string& table,
                 const auto d = decode_double(v);
                 return d ? encode_double(fn(*d)) : v;
               });
+        }},
+       {51, "one-shot-prune-zeros", nosql::kMajcScope,
+        [](nosql::IterPtr src) {
+          return std::make_unique<nosql::FilterIterator>(
+              std::move(src), [](const nosql::Key&, const nosql::Value& v) {
+                const auto d = decode_double(v);
+                return !d || *d != 0.0;
+              });
         }}});
-  // Transformed values equal to 0 are semantically sparse zeros; prune.
-  table_filter(db, table,
-               [](const nosql::Key&, double v) { return v != 0.0; });
 }
 
 void table_scale(nosql::Instance& db, const std::string& table, double alpha) {

@@ -15,7 +15,8 @@
 namespace graphulo::core {
 
 /// Applies `fn` to every numeric cell value of `table`, in place: the
-/// transform runs as a major-compaction iterator, so the rewrite happens
+/// transform and a filter that deletes results equal to 0 run as
+/// iterators of one major compaction, so the rewrite happens
 /// server-side in one pass. Non-numeric values pass through unchanged.
 void table_apply(nosql::Instance& db, const std::string& table,
                  const std::function<double(double)>& fn);

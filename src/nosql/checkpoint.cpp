@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "nosql/codec.hpp"
-#include "nosql/manifest.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
@@ -15,29 +15,39 @@ namespace graphulo::nosql {
 
 namespace {
 
-constexpr std::uint32_t kCheckpointMagic = 0x47434b32;  // "GCK2"
+constexpr std::uint32_t kCheckpointMagic = 0x47434b33;  // "GCK3"
 
-/// One table's snapshot (catalog + unflushed cells), decoded. Flushed
-/// data travels separately as manifest + file artifacts.
+/// One tablet's file set as the section records it: the tablet's
+/// extent start and, per live file, its id (also its artifact name),
+/// level and data seq. Everything else a FileMeta holds is rebuilt
+/// from the reloaded RFile.
+struct TabletFiles {
+  struct File {
+    std::uint64_t id = 0;
+    int level = 0;
+    std::uint64_t seq = 0;
+  };
+  std::string extent_start;
+  std::vector<File> files;
+};
+
+/// One table's snapshot (catalog, file sets, unflushed cells), decoded.
 struct TableSnapshot {
   std::string name;
   std::vector<std::string> splits;
-  std::vector<Cell> cells;  ///< unflushed (memtable + frozen) only
+  std::vector<TabletFiles> tablets;  ///< in extent order
+  std::vector<Cell> cells;           ///< unflushed (memtable + frozen) only
 };
 
-/// Decoded main-snapshot payload.
+/// Decoded main-section payload.
 struct CheckpointImage {
   Timestamp clock = 0;
   std::uint64_t covers_seq = 0;
-  std::uint64_t epoch = 0;  ///< names the manifest/files artifacts
+  std::uint64_t epoch = 0;  ///< names the files directory
   std::vector<TableSnapshot> tables;
 };
 
 // -- artifact naming --------------------------------------------------------
-
-std::string manifest_path_for(const std::string& path, std::uint64_t epoch) {
-  return path + ".manifest-" + std::to_string(epoch);
-}
 
 std::string files_dir_for(const std::string& path, std::uint64_t epoch) {
   return path + ".files-" + std::to_string(epoch);
@@ -47,85 +57,69 @@ std::string rfile_path_in(const std::string& dir, std::uint64_t file_id) {
   return dir + "/f" + std::to_string(file_id) + ".rf";
 }
 
-/// True when `name` is `<base><suffix_prefix><digits>`; outputs the
-/// parsed digits. Exact-prefix + all-digits, so e.g. a neighboring
+/// Every `<base>.files-<digits>` directory beside `checkpoint_path`,
+/// with its epoch. Exact prefix + all digits, so e.g. a neighboring
 /// "<base>.files-3.bak" never matches.
-bool parse_epoch_artifact(const std::string& name, const std::string& base,
-                          const char* suffix_prefix, std::uint64_t& epoch) {
-  const std::string prefix = base + suffix_prefix;
-  if (name.size() <= prefix.size() ||
-      name.compare(0, prefix.size(), prefix) != 0) {
-    return false;
+std::vector<std::pair<std::filesystem::path, std::uint64_t>> files_dirs(
+    const std::string& checkpoint_path) {
+  namespace fs = std::filesystem;
+  const fs::path p(checkpoint_path);
+  fs::path dir = p.parent_path();
+  if (dir.empty()) dir = ".";
+  const std::string prefix = p.filename().string() + ".files-";
+  std::vector<std::pair<fs::path, std::uint64_t>> found;
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec);
+  if (ec) return found;
+  for (const auto& entry : it) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() ||
+        name.compare(0, prefix.size(), prefix) != 0) {
+      continue;
+    }
+    const std::string digits = name.substr(prefix.size());
+    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
+    found.emplace_back(entry.path(),
+                       std::strtoull(digits.c_str(), nullptr, 10));
   }
-  const std::string digits = name.substr(prefix.size());
-  if (digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  epoch = std::strtoull(digits.c_str(), nullptr, 10);
-  return true;
+  return found;
 }
 
 /// Picks the epoch for a new checkpoint: at least `covers_seq` (so
 /// epochs track WAL progress and are human-correlatable) and strictly
-/// above every artifact epoch already on disk — a retried or repeated
+/// above every files directory already on disk — a retried or repeated
 /// checkpoint NEVER reuses a directory a previous (possibly still
 /// live) checkpoint references.
 std::uint64_t next_epoch(const std::string& checkpoint_path,
                          std::uint64_t covers_seq) {
-  namespace fs = std::filesystem;
   std::uint64_t epoch = std::max<std::uint64_t>(covers_seq, 1);
-  const fs::path p(checkpoint_path);
-  fs::path dir = p.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string base = p.filename().string();
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return epoch;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    std::uint64_t found = 0;
-    if (parse_epoch_artifact(name, base, ".manifest-", found) ||
-        parse_epoch_artifact(name, base, ".files-", found)) {
-      epoch = std::max(epoch, found + 1);
-    }
+  for (const auto& [dir, found] : files_dirs(checkpoint_path)) {
+    epoch = std::max(epoch, found + 1);
   }
   return epoch;
 }
 
-/// Best-effort removal of every manifest/files artifact whose epoch is
-/// not `keep` — run only AFTER the new main snapshot is durably
-/// renamed into place, so a crash can never strand the live checkpoint
-/// pointing at deleted artifacts.
+/// Best-effort removal of every files directory whose epoch is not
+/// `keep` — run only AFTER the new main section is renamed into place,
+/// so a crash can never strand the live checkpoint pointing at deleted
+/// artifacts.
 void remove_stale_epochs(const std::string& checkpoint_path,
                          std::uint64_t keep) {
-  namespace fs = std::filesystem;
-  const fs::path p(checkpoint_path);
-  fs::path dir = p.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string base = p.filename().string();
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return;
-  std::vector<fs::path> stale;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    std::uint64_t found = 0;
-    if ((parse_epoch_artifact(name, base, ".manifest-", found) ||
-         parse_epoch_artifact(name, base, ".files-", found)) &&
-        found != keep) {
-      stale.push_back(entry.path());
-    }
-  }
-  for (const auto& path : stale) {
-    std::error_code rm_ec;
-    fs::remove_all(path, rm_ec);  // ignore failures: retried next time
+  for (const auto& [dir, found] : files_dirs(checkpoint_path)) {
+    if (found == keep) continue;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);  // ignore failures: retried next time
   }
 }
 
-// -- main snapshot encode/decode --------------------------------------------
+// -- main section encode/decode ---------------------------------------------
 
+/// Encodes the main section and writes every live RFile it names under
+/// `dir`. Throws TransientError on I/O failure (the caller retries,
+/// rewriting this epoch's artifacts wholesale).
 std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
-                              std::uint64_t epoch, CheckpointStats& stats) {
+                              std::uint64_t epoch, const std::string& dir,
+                              CheckpointStats& stats) {
   std::string payload;
   wire::put_i64(payload, db.last_timestamp());
   wire::put_u64(payload, covers_seq);
@@ -137,11 +131,29 @@ std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
     const auto splits = db.list_splits(name);
     wire::put_u64(payload, splits.size());
     for (const auto& s : splits) wire::put_string(payload, s);
-    // Unflushed cells only (all versions + delete markers), in extent
-    // order across tablets so restore re-routes them identically.
-    // Flushed data rides along as file artifacts, not re-encoded cells.
+    // Each tablet's file set, in extent order, then the table's
+    // unflushed cells (all versions + delete markers) in the same
+    // order, so restore re-routes them identically. Flushed data is
+    // the files themselves, never re-encoded as cells.
+    const auto tablets = db.tablets_for_range(name, Range::all());
+    wire::put_u64(payload, tablets.size());
     std::vector<Cell> cells;
-    for (const auto& [tablet, sid] : db.tablets_for_range(name, Range::all())) {
+    for (const auto& [tablet, sid] : tablets) {
+      wire::put_string(payload, tablet->extent().start_row);
+      const auto files = tablet->version()->all_files();
+      wire::put_u64(payload, files.size());
+      for (const FileMeta& meta : files) {
+        const std::string fpath = rfile_path_in(dir, meta.file_id);
+        if (!meta.file->write_to(fpath)) {
+          throw util::TransientError("write_checkpoint: I/O failure on " +
+                                     fpath);
+        }
+        wire::put_u64(payload, meta.file_id);
+        wire::put_u64(payload, static_cast<std::uint64_t>(meta.level));
+        wire::put_u64(payload, meta.seq);
+        stats.cells += meta.cells;
+        ++stats.files;
+      }
       auto part = tablet->unflushed_cells();
       cells.insert(cells.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
@@ -166,6 +178,20 @@ CheckpointImage decode_checkpoint(wire::Cursor c) {
     const std::uint64_t split_count = wire::get_u64(c);
     for (std::uint64_t i = 0; i < split_count; ++i) {
       snap.splits.push_back(wire::get_string(c));
+    }
+    const std::uint64_t tablet_count = wire::get_u64(c);
+    for (std::uint64_t i = 0; i < tablet_count; ++i) {
+      TabletFiles tablet;
+      tablet.extent_start = wire::get_string(c);
+      const std::uint64_t file_count = wire::get_u64(c);
+      for (std::uint64_t f = 0; f < file_count; ++f) {
+        TabletFiles::File file;
+        file.id = wire::get_u64(c);
+        file.level = static_cast<int>(wire::get_u64(c));
+        file.seq = wire::get_u64(c);
+        tablet.files.push_back(file);
+      }
+      snap.tablets.push_back(std::move(tablet));
     }
     const std::uint64_t cell_count = wire::get_u64(c);
     for (std::uint64_t i = 0; i < cell_count; ++i) {
@@ -202,34 +228,30 @@ bool load_file(const std::string& path, CheckpointImage& image) {
   }
 }
 
-/// Persists every live RFile under `dir` and appends one VersionEdit
-/// per non-empty tablet to `manifest`. Throws TransientError on I/O
-/// failure (caller retries, rewriting this epoch's artifacts wholesale).
-void persist_file_sets(Instance& db, const std::string& dir,
-                       ManifestWriter& manifest, CheckpointStats& stats) {
-  for (const auto& name : db.table_names()) {
-    for (const auto& [tablet, sid] : db.tablets_for_range(name, Range::all())) {
-      const auto version = tablet->version();
-      VersionEdit edit;
-      edit.table = name;
-      edit.extent_start = tablet->extent().start_row;
-      edit.has_extent_start = !edit.extent_start.empty();
-      for (const auto& level : version->levels) {
-        for (const FileMeta& meta : level) {
-          const std::string fpath = rfile_path_in(dir, meta.file_id);
-          if (!meta.file->write_to(fpath)) {
-            throw util::TransientError("write_checkpoint: I/O failure on " +
-                                       fpath);
-          }
-          edit.added.push_back(meta);
-          stats.cells += meta.cells;
-          ++stats.files;
-        }
-      }
-      if (!edit.added.empty()) manifest.append(edit);
+/// Reloads one tablet's files from `dir`. A file that is missing,
+/// damaged or empty is dropped, loudly; the rest are kept.
+std::vector<FileMeta> load_files(Instance& db, const std::string& dir,
+                                 const TabletFiles& tablet) {
+  std::vector<FileMeta> files;
+  for (const TabletFiles::File& ref : tablet.files) {
+    const std::string fpath = rfile_path_in(dir, ref.id);
+    std::shared_ptr<RFile> file;
+    try {
+      util::with_retries("recover_instance: file load", db.retry_policy(),
+                         [&] { file = RFile::read_from(fpath); });
+    } catch (const util::TransientError&) {
+      file = nullptr;
     }
+    if (!file || file->empty()) {
+      GRAPHULO_ERROR << "recover_instance: cannot load " << fpath
+                     << ", dropping its cells";
+      continue;
+    }
+    // The reloaded file takes a runtime id of its own: ids differ per
+    // process.
+    files.push_back(FileMeta::describe(std::move(file), ref.level, ref.seq));
   }
-  manifest.sync();
+  return files;
 }
 
 }  // namespace
@@ -255,9 +277,8 @@ CheckpointStats write_checkpoint(Instance& db,
   const std::string dir = files_dir_for(checkpoint_path, epoch);
   const std::string tmp_path = checkpoint_path + ".tmp";
   // All artifact writes live inside the retry scope: persisting RFiles
-  // passes their own rfile.write fault site, the manifest writer passes
-  // manifest.append, and re-running the whole sequence is idempotent
-  // (same epoch, same paths, truncate-on-open).
+  // passes their own rfile.write fault site, and re-running the whole
+  // sequence is idempotent (same epoch, same paths, truncate-on-open).
   util::with_retries("write_checkpoint", db.retry_policy(), [&] {
     util::fault::point(util::fault::sites::kCheckpointWrite);
     CheckpointStats fresh;
@@ -267,10 +288,8 @@ CheckpointStats write_checkpoint(Instance& db,
     if (ec) {
       throw util::TransientError("write_checkpoint: cannot create " + dir);
     }
-    ManifestWriter manifest(manifest_path_for(checkpoint_path, epoch));
-    persist_file_sets(db, dir, manifest, fresh);
     const std::string payload =
-        encode_checkpoint(db, covers_seq, epoch, fresh);
+        encode_checkpoint(db, covers_seq, epoch, dir, fresh);
     if (!write_file(tmp_path, payload)) {
       throw util::TransientError("write_checkpoint: I/O failure on " +
                                  tmp_path);
@@ -279,12 +298,12 @@ CheckpointStats write_checkpoint(Instance& db,
   });
   // The rename is the commit point: before it, recovery still sees the
   // previous checkpoint (whose artifacts are untouched); after it, the
-  // new epoch's manifest + files are what the main snapshot names.
+  // new epoch's files are what the main section names.
   if (std::rename(tmp_path.c_str(), checkpoint_path.c_str()) != 0) {
     throw std::runtime_error("write_checkpoint: rename to " +
                              checkpoint_path + " failed");
   }
-  // Only after the checkpoint is durably in place may the log shrink.
+  // Only after the checkpoint is renamed into place may the log shrink.
   // A crash before this rotate leaves stale records in the WAL, which
   // recovery skips by sequence number.
   wal->rotate();
@@ -315,66 +334,29 @@ RecoveryStats recover_instance(Instance& db,
   }
   std::uint64_t min_seq = 0;
   if (loaded) {
-    // Catalog first: tables + splits reproduce the tablet layout, so
-    // the manifest's per-tablet edits land on matching extents.
-    for (const auto& snap : image.tables) {
+    // Per table: the catalog (table + splits) reproduces the tablet
+    // layout, so each file set lands on the extent it was written
+    // from; the file sets come BEFORE the unflushed cells, because
+    // restore_files seeds each tablet's data-seq counter and a flush
+    // of the cells must sort newer than every recovered file.
+    const std::string dir = files_dir_for(checkpoint_path, image.epoch);
+    for (auto& snap : image.tables) {
       db.create_table(snap.name,
                       config_for ? config_for(snap.name) : TableConfig{});
       if (!snap.splits.empty()) db.add_splits(snap.name, snap.splits);
-    }
-    // Leveled file sets next (BEFORE unflushed cells: restore_files
-    // seeds each tablet's data-seq counter, so post-restore flushes
-    // sort newer than every recovered file). The manifest replay is
-    // torn-tail tolerant; a missing manifest just means no flushed
-    // data was captured.
-    const auto replay =
-        replay_manifest(manifest_path_for(checkpoint_path, image.epoch));
-    const std::string dir = files_dir_for(checkpoint_path, image.epoch);
-    for (const auto& edit : replay.edits) {
-      if (!db.table_exists(edit.table)) {
-        GRAPHULO_WARN << "recover_instance: manifest names unknown table '"
-                      << edit.table << "', skipping its files";
-        continue;
-      }
-      std::vector<FileMeta> files;
-      for (const FileMeta& record : edit.added) {
-        const std::string fpath = rfile_path_in(dir, record.file_id);
-        std::shared_ptr<RFile> file;
-        try {
-          util::with_retries("recover_instance: file load",
-                             db.retry_policy(), [&] {
-                               file = RFile::read_from(fpath);
-                             });
-        } catch (const util::TransientError&) {
-          file = nullptr;
-        }
-        if (!file) {
-          // Corrupt/missing artifact: recover what we can; the loss is
-          // loud, not silent.
-          GRAPHULO_ERROR << "recover_instance: cannot load " << fpath
-                         << ", dropping " << record.cells << " cells";
-          continue;
-        }
-        FileMeta meta = record;
-        meta.file = std::move(file);
-        meta.file_id = meta.file->file_id();  // runtime ids differ per process
-        stats.cells_restored += meta.cells;
-        ++stats.files_restored;
-        files.push_back(std::move(meta));
-      }
-      if (!files.empty()) {
+      for (const TabletFiles& tablet : snap.tablets) {
+        const std::vector<FileMeta> files = load_files(db, dir, tablet);
+        if (files.empty()) continue;
+        for (const FileMeta& meta : files) stats.cells_restored += meta.cells;
+        stats.files_restored += files.size();
         // Copy per attempt: restore_files consumes its argument and the
         // manifest.install fault site may fire inside.
         util::with_retries("recover_instance: restore files",
                            db.retry_policy(), [&] {
-                             db.restore_files(edit.table, edit.extent_start,
+                             db.restore_files(snap.name, tablet.extent_start,
                                               files);
                            });
       }
-    }
-    // Unflushed cells last; their flush (if any) gets a data seq newer
-    // than every restored file.
-    for (auto& snap : image.tables) {
       stats.cells_restored += snap.cells.size();
       db.restore_cells(snap.name, std::move(snap.cells));
       ++stats.tables_restored;

@@ -2,37 +2,49 @@
 // WAL checkpoint + rotation: bounds crash-recovery time by live data
 // instead of total write history.
 //
-// A checkpoint (format GCK2) persists the instance as three artifacts:
+// A checkpoint (format GCK3) is two artifacts:
 //
-//   <path>                 main snapshot: catalog (table names + split
-//                          points), each tablet's UNFLUSHED cells
-//                          (memtable + frozen, versions and delete
-//                          markers preserved), the logical clock, the
-//                          covered WAL sequence, and the artifact epoch
-//                          — one wire section (magic "GCK2" | len u64 |
-//                          payload | crc32(payload), see codec.hpp),
-//                          written tmp + rename.
-//   <path>.manifest-<E>    a MANIFEST (see manifest.hpp): one
-//                          VersionEdit per tablet describing its
-//                          leveled file set (level, key range, seq,
-//                          cell/byte counts per file).
+//   <path>                 the main section: one wire section (magic
+//                          "GCK3" | len u64 | payload | crc32(payload),
+//                          see codec.hpp), written tmp + rename.
 //   <path>.files-<E>/f<id>.rf   every live RFile, serialized.
 //
-// Flushed data is therefore no longer re-encoded as raw cells: the
-// files are persisted verbatim and the manifest replay reconstructs
-// the exact leveled structure, so recovery is byte-identical including
-// read-amplification shape, not merely cell-identical.
+// Payload (little-endian, encoded through nosql::wire):
+//   clock i64 | covers_seq u64 | epoch E u64 | table count u64 |
+//   per table, in name order:
+//     name | split count u64 | split rows |
+//     tablet count u64 | per tablet, in extent order:
+//       extent start | file count u64 |
+//       per live file: file id u64 | level u64 | seq u64
+//     cell count u64 | the table's UNFLUSHED cells (memtable + frozen,
+//       versions and delete markers preserved; wire::put_cell)
+// (strings are u32-length-prefixed).
+//
+// Flushed data is never re-encoded as raw cells: the files are
+// persisted verbatim, and recovery rebuilds each file's metadata
+// (cell count, byte footprint, first and last key) from the reloaded
+// RFile with FileMeta::describe, so the leveled structure comes back
+// file for file. The section's CRC covers every file set: any damage
+// to it rejects the checkpoint whole, and recovery falls back to the
+// WAL, which the rotation has cut to the tail written since. A
+// damaged RFile drops that one file, loudly. Only GCK3 is
+// read: a main file with any other magic is rejected like a damaged
+// one.
 //
 // Epoch discipline: each write_checkpoint() picks an epoch strictly
-// above every artifact epoch present on disk, writes the new artifacts
-// first, and only then renames the main snapshot into place (the
-// atomic commit point) and rotates the WAL. A crash mid-write leaves
-// the previous checkpoint's artifacts untouched; stale epochs are
-// garbage-collected only after the rename succeeds. Recovery loads the
-// main snapshot (CRC), replays the manifest named by its epoch
-// (torn-tail tolerant), reloads the RFiles, then replays the WAL tail
-// filtered by sequence number — idempotent even when the crash landed
-// between rename and rotation.
+// above every files directory present on disk, writes the RFiles and
+// the section to `<path>.tmp` first, and only then renames the section
+// into place (the atomic commit point) and rotates the WAL. A crash
+// mid-write leaves the previous checkpoint's artifacts untouched;
+// stale epochs are garbage-collected only after the rename succeeds.
+// Recovery loads the section (CRC), then per table recreates the table
+// and its splits, reloads each tablet's RFiles into their recorded
+// levels, and restores the unflushed cells; then it sets the clock and
+// replays the WAL tail filtered by sequence number — idempotent even
+// when the crash landed between rename and rotation.
+//
+// Durability: artifacts are flushed, not fsync'd. A checkpoint
+// survives a process crash, but not necessarily a power loss.
 //
 // Table configs (iterator settings, LSM knobs) are code, not data:
 // recovery recreates tables through the caller's TableConfigProvider,
@@ -53,7 +65,7 @@ namespace graphulo::nosql {
 struct CheckpointStats {
   std::size_t tables = 0;
   std::size_t cells = 0;          ///< unflushed + file-resident cells captured
-  std::size_t files = 0;          ///< RFiles persisted alongside the manifest
+  std::size_t files = 0;          ///< RFiles persisted beside the section
   std::uint64_t covers_seq = 0;   ///< WAL records with seq < this are covered
 };
 
@@ -62,28 +74,27 @@ struct RecoveryStats {
   bool checkpoint_loaded = false;
   std::size_t tables_restored = 0;    ///< from the checkpoint
   std::size_t cells_restored = 0;     ///< from the checkpoint
-  std::size_t files_restored = 0;     ///< RFiles reloaded via the manifest
+  std::size_t files_restored = 0;     ///< RFiles reloaded from the files dir
   std::size_t records_replayed = 0;   ///< from the WAL tail
 };
 
-/// Snapshots `db` into `checkpoint_path` (+ manifest and file
-/// artifacts; see the header comment), then rotates the attached WAL
-/// so the log is truncated to empty. Requires an attached WAL (the
-/// covered sequence comes from it). Transient I/O faults are retried
-/// per the instance's retry policy; a retry rewrites the new epoch's
-/// artifacts wholesale, never the previous checkpoint's. Throws on
-/// unrecoverable failure — the WAL is only rotated after the main
-/// snapshot is durably in place.
+/// Snapshots `db` into `checkpoint_path` (+ the files directory; see
+/// the header comment), then rotates the attached WAL so the log is
+/// truncated to empty. Requires an attached WAL (the covered sequence
+/// comes from it). Transient I/O faults are retried per the instance's
+/// retry policy; a retry rewrites the new epoch's artifacts wholesale,
+/// never the previous checkpoint's. Throws on unrecoverable failure —
+/// the WAL is only rotated after the main section is renamed into
+/// place.
 CheckpointStats write_checkpoint(Instance& db,
                                  const std::string& checkpoint_path);
 
 /// Rebuilds `db` (normally fresh) from `checkpoint_path` +
-/// `wal_path`: loads the main snapshot when present and valid (a
+/// `wal_path`: loads the main section when present and valid (a
 /// foreign magic, a length longer than the file, a CRC mismatch or a
 /// malformed payload each reject it, and recovery falls back to the
-/// full log),
-/// restores the catalog, replays the manifest to reload every RFile
-/// into its recorded level, restores unflushed cells, then replays the
+/// full log), restores the catalog, reloads every tablet's RFiles into
+/// their recorded levels, restores unflushed cells, then replays the
 /// WAL tail (records at or past the checkpoint's covered sequence; the
 /// full log when no checkpoint loaded). `config_for` supplies table
 /// configs at creation, as in recover_from_wal. The WAL is NOT

@@ -48,8 +48,8 @@ std::optional<std::uint64_t> decode_u64_be(const std::string& bytes);
 // Fixed-width little-endian binary encoding of the store's data types,
 // and the one byte codec of every format that crosses a process or
 // disk boundary: the RPC wire (src/rpc), the WAL (wal.hpp), the
-// checkpoint main file (checkpoint.hpp), the MANIFEST (manifest.hpp)
-// and the RFL3 RFile header (rfile.hpp). Strings are
+// checkpoint main section, which also holds every tablet's file set
+// (checkpoint.hpp), and the RFL3 RFile header (rfile.hpp). Strings are
 // u32-length-prefixed. The checkpoint main file and the RFile header
 // share one frame, the section (write_section / read_section):
 //   magic u32 | len u64 | body | crc32(body) u32

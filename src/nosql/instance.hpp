@@ -180,8 +180,8 @@ class Instance {
 
   /// Installs recovered immutable files into the tablet whose extent
   /// starts at `extent_start` ("" = the first tablet) — the
-  /// checkpoint-restore path for the leveled file set described by a
-  /// replayed MANIFEST. Every FileMeta must carry a live RFile. Passes
+  /// checkpoint-restore path for the leveled file set a checkpoint
+  /// records. Every FileMeta must carry a live RFile. Passes
   /// through the `manifest.install` fault site (callers retry).
   void restore_files(const std::string& name, const std::string& extent_start,
                      std::vector<FileMeta> files);

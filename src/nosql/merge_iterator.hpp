@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "nosql/iterator.hpp"
-#include "nosql/manifest.hpp"
+#include "nosql/version_set.hpp"
 
 namespace graphulo::nosql {
 

@@ -14,7 +14,6 @@
 #include "nosql/instance.hpp"
 #include "nosql/iterator.hpp"
 #include "nosql/key.hpp"
-#include "nosql/manifest.hpp"
 #include "nosql/memtable.hpp"
 #include "nosql/merge_iterator.hpp"
 #include "nosql/mutation.hpp"

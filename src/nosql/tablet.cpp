@@ -169,12 +169,8 @@ void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
     if (task_failures_ == failures_before) {
       if (const unsigned owned = queue_tasks_locked(kMinorTask | kMajorTask)) {
         // No pool took the work: this writer relieves the pressure itself.
-        ++relief_runs_;
         relief_total().inc();
-        if (!run_tasks_locked(lock, owned)) {
-          ++relief_failures_;
-          relief_failure_total().inc();
-        }
+        if (!run_tasks_locked(lock, owned)) relief_failure_total().inc();
         continue;
       }
       if (minor_inflight_ || major_inflight_) {
@@ -505,8 +501,6 @@ TabletStats Tablet::stats() const {
   s.major_compactions = major_compactions_;
   s.compactions_queued = bg_queued_;
   s.compactions_completed = bg_completed_;
-  s.relief_runs = relief_runs_;
-  s.relief_failures = relief_failures_;
   s.compactions_in_flight =
       (minor_inflight_ ? 1u : 0u) + (major_inflight_ ? 1u : 0u);
   if (cache_) {

@@ -124,12 +124,6 @@ struct TabletStats {
   /// files and their blocks are proactively erased.
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-  /// Back-pressure reliefs: waits in which the blocked writer ran the
-  /// queued tasks itself because no pool took them, and reliefs in which
-  /// one of those tasks failed (the write then went ahead over the
-  /// ceiling).
-  std::size_t relief_runs = 0;
-  std::size_t relief_failures = 0;
 };
 
 class Tablet : public std::enable_shared_from_this<Tablet> {
@@ -331,8 +325,6 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   std::size_t major_compactions_ = 0;
   std::uint64_t bg_queued_ = 0;
   std::uint64_t bg_completed_ = 0;
-  std::size_t relief_runs_ = 0;
-  std::size_t relief_failures_ = 0;
   /// Maintenance tasks that failed, whichever thread ran them: a
   /// back-pressured writer stops waiting once it sees this move.
   std::uint64_t task_failures_ = 0;

@@ -7,6 +7,27 @@
 
 namespace graphulo::nosql {
 
+int compare_columns(const Key& a, const Key& b) noexcept {
+  if (int c = a.row.compare(b.row)) return c;
+  if (int c = a.family.compare(b.family)) return c;
+  if (int c = a.qualifier.compare(b.qualifier)) return c;
+  return a.visibility.compare(b.visibility);
+}
+
+FileMeta FileMeta::describe(std::shared_ptr<RFile> rf, int level,
+                            std::uint64_t seq) {
+  FileMeta m;
+  m.file_id = rf->file_id();
+  m.level = level;
+  m.seq = seq;
+  m.cells = rf->entry_count();
+  m.bytes = rf->approximate_bytes();
+  m.first_key = rf->first_key();
+  m.last_key = rf->last_key();
+  m.file = std::move(rf);
+  return m;
+}
+
 std::size_t Version::file_count() const {
   std::size_t n = 0;
   for (const auto& level : levels) n += level.size();

@@ -8,21 +8,69 @@
 //        consults at most one file per level.
 //
 // VersionSet owns the current Version and installs successors
-// atomically by applying VersionEdits (the same records the MANIFEST
-// persists). Readers grab a shared_ptr snapshot and are never blocked
-// by — or exposed to — an in-flight install. The `manifest.install`
-// fault site fires before any state changes, so a fired fault leaves
-// the previous version intact (the caller discards its compaction
-// output and retries later).
+// atomically by applying VersionEdits. Readers grab a shared_ptr
+// snapshot and are never blocked by — or exposed to — an in-flight
+// install. The `manifest.install` fault site fires before any state
+// changes, so a fired fault leaves the previous version intact (the
+// caller discards its compaction output and retries later). A
+// checkpoint persists each tablet's file set as (file id, level, seq)
+// per file and rebuilds the rest with FileMeta::describe on recovery
+// (see checkpoint.hpp).
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "nosql/manifest.hpp"
+#include "nosql/key.hpp"
+#include "nosql/rfile.hpp"
 
 namespace graphulo::nosql {
+
+/// Orders keys by COLUMN position only — (row, family, qualifier,
+/// visibility), timestamp and delete flag excluded. All level-overlap
+/// logic compares columns, never full keys: full-key order is
+/// timestamp-DESCENDING within a column, so a newer cell of column C
+/// sorts before an older one and interval arithmetic over full keys
+/// would conclude two files holding different versions of C are
+/// disjoint. A file "contains" a column if it holds ANY version of it.
+/// Returns <0, 0, >0 like strcmp.
+int compare_columns(const Key& a, const Key& b) noexcept;
+
+/// Metadata for one immutable RFile in a tablet's leveled file set.
+/// `file` is the runtime handle; for live files `file_id` always
+/// equals `file->file_id()`, so BlockCache eviction can key off it, and
+/// doubles as the checkpoint artifact name (`f<id>.rf`).
+struct FileMeta {
+  std::uint64_t file_id = 0;
+  int level = 0;
+  std::uint64_t seq = 0;  ///< data seq of the newest input (L0 ordering)
+  std::uint64_t cells = 0;
+  std::uint64_t bytes = 0;
+  Key first_key;
+  Key last_key;
+  std::shared_ptr<RFile> file;
+
+  /// Wraps a live RFile. Precondition: `rf` is non-empty.
+  static FileMeta describe(std::shared_ptr<RFile> rf, int level,
+                           std::uint64_t seq);
+
+  /// True when this file's COLUMN range intersects [lo, hi] — a file
+  /// holding any version (or a delete marker) of a column in the span
+  /// overlaps it, regardless of timestamps.
+  bool overlaps(const Key& lo, const Key& hi) const {
+    return compare_columns(last_key, lo) >= 0 &&
+           compare_columns(hi, first_key) >= 0;
+  }
+};
+
+/// One immutable mutation of a tablet's file set: files added and file
+/// ids removed.
+struct VersionEdit {
+  std::vector<FileMeta> added;
+  std::vector<std::uint64_t> removed;
+};
 
 /// Leveled-compaction tuning knobs (per table).
 struct CompactionConfig {

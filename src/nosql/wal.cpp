@@ -164,19 +164,21 @@ bool next_frame(wire::Cursor& log, wire::Cursor& body) {
   return true;
 }
 
-/// Scans an existing log for the sequence number after its last intact
-/// record (1 for a missing/empty/garbage file).
-std::uint64_t scan_next_seq(const std::string& path) {
-  std::string bytes;
-  if (!wire::read_file(path, bytes)) return 1;
-  std::uint64_t next = 1;
+/// Walks the intact prefix of a log: hands each record whose frame
+/// parses and whose body decodes to `visit`, in order, and stops at the
+/// first that does not (a torn tail, a foreign magic, a body that does
+/// not decode). Returns the byte length of that prefix.
+std::size_t walk_log(const std::string& bytes,
+                     const std::function<void(const WalRecord&)>& visit) {
   wire::Cursor log(bytes), body;
-  // The successor estimate only has to be PAST every replayable record,
-  // which the last intact record's seq + 1 always is.
-  while (next_frame(log, body) && body.remaining() >= sizeof(std::uint64_t)) {
-    next = wire::get_u64(body) + 1;
+  std::size_t intact = 0;
+  while (next_frame(log, body)) {
+    WalRecord record;
+    if (!decode_body(body, record)) break;
+    visit(record);
+    intact = log.pos;
   }
-  return next;
+  return intact;
 }
 
 /// write(2) loop handling short writes. Throws FatalError on OS error:
@@ -205,11 +207,27 @@ void fsync_or_throw(int fd, const std::string& path) {
 }  // namespace
 
 WriteAheadLog::WriteAheadLog(const std::string& path, WalOptions options)
-    : path_(path), options_(options), next_seq_(scan_next_seq(path)) {
+    : path_(path), options_(options) {
+  // Resume after the last intact record, and cut whatever follows it
+  // off before the first append: replay stops at a torn record, so a
+  // record appended after one would never be replayed.
+  std::string bytes;
+  const bool read = wire::read_file(path, bytes);  // missing: false
+  const std::size_t intact =
+      read ? walk_log(bytes,
+                      [this](const WalRecord& r) { next_seq_ = r.seq + 1; })
+           : 0;
   fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (fd_ < 0) {
     throw std::runtime_error("WriteAheadLog: cannot open " + path + ": " +
                              std::strerror(errno));
+  }
+  if (read && intact < bytes.size() &&
+      ::ftruncate(fd_, static_cast<off_t>(intact)) != 0) {
+    const std::string error = std::strerror(errno);
+    ::close(fd_);
+    throw std::runtime_error("WriteAheadLog: cannot cut the torn tail of " +
+                             path + ": " + error);
   }
   durable_seq_ = next_seq_ - 1;  // everything already in the file
 }
@@ -483,15 +501,12 @@ std::size_t replay_wal(const std::string& path,
   std::string bytes;
   if (!wire::read_file(path, bytes)) return 0;
   std::size_t delivered = 0;
-  wire::Cursor log(bytes), body;
-  while (next_frame(log, body)) {  // a foreign magic stops cleanly
-    WalRecord record;
-    if (!decode_body(body, record)) break;
+  walk_log(bytes, [&](const WalRecord& record) {
     if (record.seq >= min_seq) {
       apply(record);
       ++delivered;
     }
-  }
+  });
   return delivered;
 }
 

@@ -4,7 +4,7 @@
 // is appended as a length-prefixed, sequence-numbered record before it
 // is applied; recovery replays the log into a fresh instance. Torn
 // tails — a record cut off mid-write by a crash — are detected and
-// ignored.
+// ignored by replay, and cut off when the log is reopened for writing.
 //
 // Record format (little-endian, encoded through nosql::wire):
 //   magic u32 ("WAL2") | body_len u32 | body
@@ -80,7 +80,10 @@ struct WalRecord {
 
 /// Append-only log writer (thread-safe). Each record is assigned the
 /// next sequence number; on open of an existing log the sequence
-/// continues after the last intact record.
+/// continues after the last intact record (the rule replay_wal uses:
+/// the frame parses and the body decodes), and anything after that
+/// record, a torn or corrupt tail, is truncated away before the first
+/// append.
 class WriteAheadLog {
  public:
   /// Opens (appends to) `path`. Throws on I/O failure.

@@ -49,8 +49,7 @@ const std::vector<std::string>& all_sites() {
       sites::kRFileWrite,      sites::kRFileRead,     sites::kRFileSeek,
       sites::kMemtableFlush,   sites::kTabletCompact, sites::kInstanceApply,
       sites::kBatchWriterFlush, sites::kTableMultWorker,
-      sites::kCheckpointWrite, sites::kCheckpointLoad,
-      sites::kManifestAppend,  sites::kManifestInstall,
+      sites::kCheckpointWrite, sites::kCheckpointLoad, sites::kManifestInstall,
       sites::kRpcSend,         sites::kRpcRecv,       sites::kRpcAccept};
   return kAll;
 }

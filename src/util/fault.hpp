@@ -100,7 +100,6 @@ inline constexpr const char* kBatchWriterFlush = "batch_writer.flush";
 inline constexpr const char* kTableMultWorker = "tablemult.worker";
 inline constexpr const char* kCheckpointWrite = "checkpoint.write";
 inline constexpr const char* kCheckpointLoad = "checkpoint.load";
-inline constexpr const char* kManifestAppend = "manifest.append";
 inline constexpr const char* kManifestInstall = "manifest.install";
 inline constexpr const char* kRpcSend = "rpc.send";
 inline constexpr const char* kRpcRecv = "rpc.recv";

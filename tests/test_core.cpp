@@ -428,6 +428,33 @@ TEST(TableOps, ApplyRewritesValuesInPlace) {
   EXPECT_EQ(read_matrix(db, "A", 8, 8), expected);
 }
 
+TEST(TableOps, ApplyRewritesEachTabletOnce) {
+  nosql::Instance db;
+  db.create_table("A");
+  db.add_splits("A", {"m"});
+  for (const char* row : {"a", "b", "n", "z"}) {
+    nosql::Mutation m(row);
+    m.put("f", "q", nosql::encode_double(2.0));
+    m.put("f", "label", "text");  // non-numeric: passes through
+    db.apply("A", m);
+  }
+  const auto tablets = db.tablets_for_range("A", nosql::Range::all());
+  const auto majors = [&] {
+    std::size_t n = 0;
+    for (const auto& [tablet, sid] : tablets) {
+      n += tablet->stats().major_compactions;
+    }
+    return n;
+  };
+  const std::size_t before = majors();
+  table_apply(db, "A", [](double v) { return v - 2.0; });
+  // One rewrite per tablet: the transform and the zero pruning share a
+  // compaction.
+  EXPECT_EQ(majors() - before, tablets.size());
+  // Every numeric value became 0 and was pruned; the labels remain.
+  EXPECT_EQ(db.entry_estimate("A"), 4u);
+}
+
 TEST(TableOps, ScaleAndZeroPruning) {
   nosql::Instance db;
   auto a = random_sparse_int(6, 6, 0.5, 212);

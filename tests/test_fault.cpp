@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -810,6 +811,61 @@ TEST_F(FaultTest, CorruptCheckpointFallsBackToFullWalReplay) {
   }
   std::remove(wal_path.c_str());
   std::remove(ckpt_path.c_str());
+}
+
+TEST_F(FaultTest, DamagedCheckpointMetadataNeverLoadsPartially) {
+  namespace fs = std::filesystem;
+  const fs::path dir = temp_path("ckpt_damage");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string wal_path = (dir / "db.wal").string();
+  const std::string ckpt_path = (dir / "db.ckpt").string();
+
+  TableConfig cfg;
+  cfg.flush_entries = 8;
+  const auto config_for = [&](const std::string&) { return cfg; };
+  {
+    Instance db;
+    db.attach_wal(std::make_shared<WriteAheadLog>(wal_path));
+    db.create_table("t", cfg);
+    db.add_splits("t", {"0100"});
+    for (int i = 0; i < 200; ++i) {
+      Mutation m(util::zero_pad(static_cast<std::uint64_t>(i), 4));
+      m.put("f", "q", "v" + std::to_string(i));
+      db.apply("t", m);
+    }
+    db.flush("t");
+    write_checkpoint(db, ckpt_path);
+  }
+
+  // Every artifact the checkpoint wrote beside the log, except the
+  // RFiles themselves (a damaged RFile drops that one file, loudly).
+  std::vector<std::string> metadata;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string path = entry.path().string();
+    if (path == wal_path || entry.path().extension() == ".rf") continue;
+    metadata.push_back(path);
+  }
+  ASSERT_FALSE(metadata.empty());
+  for (const auto& path : metadata) {
+    SCOPED_TRACE("damaged " + path);
+    const std::string pristine = slurp(path);
+    ASSERT_FALSE(pristine.empty());
+    std::string damaged = pristine;
+    damaged[damaged.size() / 2] ^= static_cast<char>(0x5a);
+    spit(path, damaged);
+
+    Instance rec;
+    const auto r = recover_instance(rec, ckpt_path, wal_path, config_for);
+    // Whole or nothing: a damaged checkpoint is rejected, never loaded
+    // with part of its file sets.
+    if (r.checkpoint_loaded) {
+      EXPECT_EQ(cells_of(rec, "t").size(), 200u);
+    }
+    spit(path, pristine);
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(FaultTest, CheckpointLoadRetriesTransientFaults) {

@@ -1,12 +1,11 @@
-// Leveled compaction + versioned MANIFEST: level invariants, the
-// compaction picker, delete-marker drop gating, manifest round-trip
-// and torn-tail replay, checkpoint v2 leveled recovery, block-cache
-// eviction of retired files, the storage-amplification gauges, and the
-// crash-consistency property test over the manifest fault sites.
+// Leveled compaction: level invariants, the compaction picker,
+// delete-marker drop gating, checkpoint recovery of the leveled file
+// set, block-cache eviction of retired files, the
+// storage-amplification gauges, and the crash-consistency property
+// test over the version-install and checkpoint fault sites.
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -29,7 +28,6 @@ using nosql::CompactionPick;
 using nosql::FileMeta;
 using nosql::Instance;
 using nosql::Key;
-using nosql::ManifestWriter;
 using nosql::Mutation;
 using nosql::Range;
 using nosql::RFile;
@@ -41,7 +39,6 @@ using nosql::VersionSet;
 using nosql::WriteAheadLog;
 using nosql::pick_compaction;
 using nosql::recover_instance;
-using nosql::replay_manifest;
 using nosql::write_checkpoint;
 namespace fault = util::fault;
 namespace sites = util::fault::sites;
@@ -216,122 +213,6 @@ TEST(LeveledPicker, OverBudgetLevelPushesVictimSliceDown) {
   ASSERT_EQ(pick->inputs.size(), 1u);
   EXPECT_EQ(pick->inputs[0].file_id, 1u);
   EXPECT_TRUE(pick->bottommost);  // nothing deeper than L2
-}
-
-// ---------------------------------------------------------------------------
-// MANIFEST round-trip + torn tails
-// ---------------------------------------------------------------------------
-
-VersionEdit sample_edit() {
-  VersionEdit e;
-  e.table = "graph";
-  e.has_extent_start = true;
-  e.extent_start = "row-m";
-  FileMeta a = fm(7, 1, 42, "a", "k", 4096);
-  a.cells = 123;
-  a.first_key.family = "f";
-  a.first_key.ts = 17;
-  a.last_key.deleted = true;
-  FileMeta b = fm(9, 2, 40, "m", "z", 8192);
-  e.added = {a, b};
-  e.removed = {3, 5};
-  return e;
-}
-
-void expect_edit_eq(const VersionEdit& got, const VersionEdit& want) {
-  EXPECT_EQ(got.table, want.table);
-  EXPECT_EQ(got.has_extent_start, want.has_extent_start);
-  EXPECT_EQ(got.extent_start, want.extent_start);
-  EXPECT_EQ(got.removed, want.removed);
-  ASSERT_EQ(got.added.size(), want.added.size());
-  for (std::size_t i = 0; i < got.added.size(); ++i) {
-    EXPECT_EQ(got.added[i].file_id, want.added[i].file_id);
-    EXPECT_EQ(got.added[i].level, want.added[i].level);
-    EXPECT_EQ(got.added[i].seq, want.added[i].seq);
-    EXPECT_EQ(got.added[i].cells, want.added[i].cells);
-    EXPECT_EQ(got.added[i].bytes, want.added[i].bytes);
-    EXPECT_EQ(got.added[i].first_key, want.added[i].first_key);
-    EXPECT_EQ(got.added[i].last_key, want.added[i].last_key);
-  }
-}
-
-TEST(LeveledManifest, RoundTripsEveryField) {
-  const std::string path = temp_path("manifest_roundtrip");
-  std::remove(path.c_str());
-  const VersionEdit e1 = sample_edit();
-  VersionEdit e2;
-  e2.table = "other";
-  e2.added = {fm(11, 0, 50, "b", "c")};
-  {
-    ManifestWriter w(path);
-    w.append(e1);
-    w.append(e2);
-    w.sync();
-    EXPECT_EQ(w.records_written(), 2u);
-  }
-  const auto replay = replay_manifest(path);
-  EXPECT_FALSE(replay.truncated);
-  ASSERT_EQ(replay.edits.size(), 2u);
-  expect_edit_eq(replay.edits[0], e1);
-  expect_edit_eq(replay.edits[1], e2);
-  // Replayed metadata carries no runtime handle until recovery loads
-  // the bytes.
-  EXPECT_EQ(replay.edits[0].added[0].file, nullptr);
-}
-
-TEST(LeveledManifest, TornTailStopsCleanlyAndKeepsValidPrefix) {
-  const std::string path = temp_path("manifest_torn");
-  std::remove(path.c_str());
-  {
-    ManifestWriter w(path);
-    w.append(sample_edit());
-    w.sync();
-  }
-  const auto clean = replay_manifest(path);
-  ASSERT_EQ(clean.edits.size(), 1u);
-
-  // A torn write: half a record's worth of garbage at the tail.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write("\x40\x00\x00\x00garbage", 11);
-  }
-  auto torn = replay_manifest(path);
-  EXPECT_TRUE(torn.truncated);
-  ASSERT_EQ(torn.edits.size(), 1u);
-  expect_edit_eq(torn.edits[0], sample_edit());
-  EXPECT_EQ(torn.valid_bytes, clean.valid_bytes);
-
-  // A corrupt byte INSIDE the only record: CRC catches it, zero edits.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(12);
-    f.put('\xFF');
-  }
-  auto corrupt = replay_manifest(path);
-  EXPECT_TRUE(corrupt.truncated);
-  EXPECT_TRUE(corrupt.edits.empty());
-
-  // Missing file: empty replay, not an error.
-  const auto missing = replay_manifest(temp_path("manifest_nonexistent"));
-  EXPECT_TRUE(missing.edits.empty());
-  EXPECT_FALSE(missing.truncated);
-}
-
-TEST_F(LeveledFaultTest, ManifestAppendFaultLeavesNoPartialRecord) {
-  const std::string path = temp_path("manifest_fault");
-  std::remove(path.c_str());
-  ManifestWriter w(path);
-  fault::FaultSpec spec;
-  spec.fire_on_hits = {1};
-  fault::arm(sites::kManifestAppend, spec);
-  EXPECT_THROW(w.append(sample_edit()), util::TransientError);
-  w.sync();
-  // The site fires before any bytes reach the stream: nothing durable.
-  EXPECT_TRUE(replay_manifest(path).edits.empty());
-  // Schedule exhausted: the retry writes a complete record.
-  w.append(sample_edit());
-  w.sync();
-  EXPECT_EQ(replay_manifest(path).edits.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +432,7 @@ TEST(LeveledObs, StorageGaugesReportLevelShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint v2: leveled recovery
+// Checkpoint: leveled recovery
 // ---------------------------------------------------------------------------
 
 TEST_F(LeveledFaultTest, CheckpointRecoveryReproducesLeveledStateByteIdentical) {
@@ -623,8 +504,93 @@ TEST_F(LeveledFaultTest, CheckpointRecoveryReproducesLeveledStateByteIdentical) 
   }
 }
 
+TEST_F(LeveledFaultTest, CheckpointRestoresEveryFileMetaField) {
+  const std::string ck = temp_path("ck_meta");
+  const std::string wal_path = temp_path("ck_meta.wal");
+  std::remove(ck.c_str());
+  std::remove(wal_path.c_str());
+
+  Instance db(2);
+  db.attach_wal(std::make_shared<WriteAheadLog>(wal_path));
+  db.create_table("t");
+  db.add_splits("t", {"n"});
+  const auto put = [&](const std::string& row, nosql::Timestamp ts) {
+    Mutation m(row);
+    m.put("f", "q", "", ts, "value-" + row);
+    db.apply("t", m);
+  };
+  // Per tablet: 32 cells compacted into one L1 file, then 8 flushed
+  // into one L0 file whose last key is a delete marker, then 3 cells
+  // left unflushed. Every key carries an explicit timestamp.
+  for (const char* prefix : {"a", "n"}) {
+    for (int i = 0; i < 32; ++i) {
+      put(prefix + util::zero_pad(static_cast<std::uint64_t>(i), 3), 100 + i);
+    }
+  }
+  db.compact("t");
+  for (const char* prefix : {"a", "n"}) {
+    for (int i = 32; i < 39; ++i) {
+      put(prefix + util::zero_pad(static_cast<std::uint64_t>(i), 3), 100 + i);
+    }
+    nosql::ColumnUpdate del;
+    del.family = "f";
+    del.qualifier = "q";
+    del.ts = 7;
+    del.has_ts = true;
+    del.deleted = true;
+    Mutation m(prefix + std::string("039"));
+    m.add_update(del);
+    db.apply("t", m);
+  }
+  db.flush("t");
+  for (const char* prefix : {"a", "n"}) {
+    for (int i = 40; i < 43; ++i) {
+      put(prefix + util::zero_pad(static_cast<std::uint64_t>(i), 3), 100 + i);
+    }
+  }
+  const auto stats = write_checkpoint(db, ck);
+  EXPECT_EQ(stats.files, 4u);
+
+  Instance recovered(2);
+  const auto rec = recover_instance(recovered, ck, wal_path);
+  ASSERT_TRUE(rec.checkpoint_loaded);
+  EXPECT_EQ(rec.files_restored, 4u);
+
+  const auto live = db.tablets_for_range("t", Range::all());
+  const auto back = recovered.tablets_for_range("t", Range::all());
+  ASSERT_EQ(live.size(), 2u);
+  ASSERT_EQ(back.size(), live.size());
+  bool saw_delete_key = false;
+  for (std::size_t t = 0; t < live.size(); ++t) {
+    const auto want = live[t].first->version();
+    ASSERT_EQ(want->levels.size(), 2u) << "tablet " << t;
+    ASSERT_EQ(want->levels[0].size(), 1u) << "tablet " << t;
+    ASSERT_EQ(want->levels[1].size(), 1u) << "tablet " << t;
+    const auto want_files = want->all_files();
+    const auto got_files = back[t].first->version()->all_files();
+    ASSERT_EQ(got_files.size(), want_files.size()) << "tablet " << t;
+    for (std::size_t i = 0; i < want_files.size(); ++i) {
+      SCOPED_TRACE("tablet " + std::to_string(t) + " file " +
+                   std::to_string(i));
+      const FileMeta& w = want_files[i];
+      const FileMeta& g = got_files[i];
+      EXPECT_EQ(g.level, w.level);
+      EXPECT_EQ(g.seq, w.seq);
+      EXPECT_EQ(g.cells, w.cells);
+      EXPECT_EQ(g.bytes, w.bytes);
+      EXPECT_EQ(g.first_key, w.first_key);  // ts and delete flag included
+      EXPECT_EQ(g.last_key, w.last_key);
+      ASSERT_NE(g.file, nullptr);
+      EXPECT_EQ(g.file_id, g.file->file_id());
+      saw_delete_key = saw_delete_key || w.last_key.deleted;
+    }
+  }
+  EXPECT_TRUE(saw_delete_key);
+  EXPECT_EQ(cells_of(recovered, "t"), cells_of(db, "t"));
+}
+
 // ---------------------------------------------------------------------------
-// Crash-consistency property test over the manifest fault sites
+// Crash-consistency property test over the install and checkpoint sites
 // ---------------------------------------------------------------------------
 
 TEST_F(LeveledFaultTest, WorkloadSurvivesManifestFaultsAndRecoversExactly) {
@@ -644,7 +610,7 @@ TEST_F(LeveledFaultTest, WorkloadSurvivesManifestFaultsAndRecoversExactly) {
   db.attach_wal(std::make_shared<WriteAheadLog>(wal_path));
   db.create_table("t", cfg);
 
-  // Probabilistic faults on BOTH manifest sites (and the checkpoint
+  // Probabilistic faults on the version install (and the checkpoint
   // write) while a mixed put/delete/flush/compact workload runs. The
   // version install firing means compaction outputs get discarded and
   // retried; the workload must never lose an acknowledged write.
@@ -652,7 +618,6 @@ TEST_F(LeveledFaultTest, WorkloadSurvivesManifestFaultsAndRecoversExactly) {
   fault::FaultSpec spec;
   spec.probability = 0.05;
   fault::arm(sites::kManifestInstall, spec);
-  fault::arm(sites::kManifestAppend, spec);
   fault::arm(sites::kCheckpointWrite, spec);
 
   util::Xoshiro256 rng(99);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -399,6 +400,55 @@ TEST(Wal, SequenceNumbersSurviveRotationAndReopen) {
   std::size_t delivered = 0;
   replay_wal(path, [&](const WalRecord&) { ++delivered; }, 3);
   EXPECT_EQ(delivered, 1u);  // only "v" (seq 3) is at/past min_seq
+  std::remove(path.c_str());
+}
+
+TEST(Wal, ReopenOverTornTailKeepsLaterRecords) {
+  const auto path = temp_wal_path("reopen_torn");
+  std::remove(path.c_str());
+  {
+    Instance db;
+    db.attach_wal(std::make_shared<WriteAheadLog>(path));
+    db.create_table("t");
+    for (int i = 0; i < 5; ++i) {
+      Mutation m("before" + std::to_string(i));
+      m.put("f", "q", "v");
+      db.apply("t", m);
+    }
+    db.sync_wal();
+  }
+  // A crash cut the last record short by 3 bytes.
+  std::string content;
+  {
+    std::ifstream in(path, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(content.size(), 3u);
+  content.resize(content.size() - 3);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  }
+
+  // The restart: recover, then reopen the same log for new writes.
+  {
+    Instance db;
+    EXPECT_EQ(recover_from_wal(db, path), 5u);  // create + 4 intact
+    EXPECT_EQ(Scanner(db, "t").read_all().size(), 4u);
+    db.attach_wal(std::make_shared<WriteAheadLog>(path));
+    for (int i = 0; i < 5; ++i) {
+      Mutation m("after" + std::to_string(i));
+      m.put("f", "q", "v");
+      db.apply("t", m);
+    }
+    db.sync_wal();
+  }
+
+  // The second recovery replays what the restart wrote, too.
+  Instance recovered;
+  EXPECT_EQ(recover_from_wal(recovered, path), 10u);
+  EXPECT_EQ(Scanner(recovered, "t").read_all().size(), 9u);
   std::remove(path.c_str());
 }
 
